@@ -147,7 +147,7 @@ func lookupBenchSegment() *index.Segment {
 }
 
 // BenchmarkSegmentLookupCold measures a one-term query against a freshly
-// decoded 5k-term segment: decode + single lookup. The v2 lazy format
+// decoded 5k-term segment: decode + single lookup. The lazy format
 // only parses the header and block index and decodes the one requested
 // posting list, instead of materializing all 5k lists.
 func BenchmarkSegmentLookupCold(b *testing.B) {
@@ -425,7 +425,7 @@ func BenchmarkCompaction(b *testing.B) {
 				b.StopTimer()
 				opts := []Option{WithSeed(1), WithPeers(10), WithBees(3), WithShards(4)}
 				if mono {
-					opts = append(opts, WithMonolithicCompaction(true))
+					opts = append(opts, monolithicCompaction)
 				}
 				e := New(opts...)
 				owner := e.NewAccount("compact-owner", 1<<40)
@@ -481,7 +481,7 @@ func BenchmarkSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Search(queries[i%len(queries)].Text, 10); err != nil {
+		if _, err := e.Query(queries[i%len(queries)].Text).All().Limit(10).Run(); err != nil {
 			b.Fatal(err)
 		}
 	}

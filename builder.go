@@ -114,21 +114,21 @@ func (e *Engine) QueryCtx(ctx context.Context, raw string) *QueryBuilder {
 }
 
 // All switches to the flat conjunctive mode: every analyzed term must
-// match, operators and quotes are plain text (what Search always did).
+// match, operators and quotes are plain text.
 func (b *QueryBuilder) All() *QueryBuilder {
 	b.mode = core.PlanAll
 	return b
 }
 
 // Any switches to the flat disjunctive mode: any analyzed term may
-// match (what SearchAny always did).
+// match.
 func (b *QueryBuilder) Any() *QueryBuilder {
 	b.mode = core.PlanAny
 	return b
 }
 
 // Phrase switches to the flat phrase mode: the analyzed terms must
-// appear adjacent and in order (what SearchPhrase always did).
+// appear adjacent and in order.
 func (b *QueryBuilder) Phrase() *QueryBuilder {
 	b.mode = core.PlanPhrase
 	return b

@@ -93,22 +93,22 @@ func TestQueryBuilderErrors(t *testing.T) {
 
 func TestQueryBuilderFlatModes(t *testing.T) {
 	e := energyEngine(t)
-	// Flat Any mode treats OR as a stopword-stripped term list; results
-	// must match the legacy SearchAny wrapper exactly.
+	// Flat Any mode ORs every analyzed term: results must match the
+	// parsed boolean OR of the same terms exactly.
 	br, err := e.Query("sunlight turbines").Any().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, _, err := e.SearchAny("sunlight turbines", 10)
+	parsed, err := e.Query("sunlight OR turbines").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(br.Results) != len(legacy) {
-		t.Fatalf("builder Any %d results vs wrapper %d", len(br.Results), len(legacy))
+	if len(br.Results) == 0 || len(br.Results) != len(parsed.Results) {
+		t.Fatalf("flat Any %d results vs parsed OR %d", len(br.Results), len(parsed.Results))
 	}
-	for i := range legacy {
-		if br.Results[i] != legacy[i] {
-			t.Fatalf("builder/wrapper diverge at %d: %+v vs %+v", i, br.Results[i], legacy[i])
+	for i := range parsed.Results {
+		if br.Results[i] != parsed.Results[i] {
+			t.Fatalf("flat Any / parsed OR diverge at %d: %+v vs %+v", i, br.Results[i], parsed.Results[i])
 		}
 	}
 	// Phrase mode through the builder.
@@ -304,11 +304,11 @@ func TestQueryRegisterAdOwnCampaignID(t *testing.T) {
 	}
 	// A registered a lower-bid campaign: with both live, a search still
 	// pairs B's higher bid first, and clicking pays against B's budget.
-	_, ads, err := e.Search("electricity", 5)
+	resp, err := e.Query("electricity").All().Limit(5).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ads) < 2 || ads[0].ID != idB {
+	if ads := resp.Ads; len(ads) < 2 || ads[0].ID != idB {
 		t.Fatalf("ads = %+v, want campaign %d first", ads, idB)
 	}
 }

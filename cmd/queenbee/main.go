@@ -68,11 +68,12 @@ func main() {
 	}
 
 	for _, q := range corp.Queries(*seed, 3, 2) {
-		results, ads, err := engine.Search(q.Text, 5)
+		resp, err := engine.Query(q.Text).All().Limit(5).Run()
 		if err != nil {
 			fmt.Printf("query %q: %v\n", q.Text, err)
 			continue
 		}
+		results, ads := resp.Results, resp.Ads
 		fmt.Printf("\nquery %q → %d results\n", q.Text, len(results))
 		for i, r := range results {
 			fmt.Printf("  %d. %-28s score=%.3f rank=%.4f\n", i+1, r.URL, r.Score, r.Rank)

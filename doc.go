@@ -16,15 +16,15 @@
 //	alice := engine.NewAccount("alice", 1_000)
 //	engine.Publish(alice, "dweb://hive", "bees make honey", nil)
 //	engine.Run(3) // worker bees index the publish
-//	results, _, _ := engine.Search("honey", 10)
+//	resp, _ := engine.Query("honey").Run()
 //
 // Everything runs on one machine against a deterministic virtual clock:
 // no real network, no real time, fully reproducible per seed.
 //
 // # Structured queries
 //
-// Search answers flat conjunctive queries. The Query builder speaks the
-// full query language (docs/query-language.md): uppercase OR/AND
+// The Query builder is the one query API. It speaks the full query
+// language (docs/query-language.md): uppercase OR/AND
 // operators, '-' exclusions, "quoted phrases", site: URL-prefix
 // filters, and parentheses — compiled into an execution plan that loads
 // each distinct index shard once, as one parallel fetch wave, then
@@ -41,14 +41,14 @@
 // the plan tree with per-node candidate counts and the simulated
 // network cost of each stage. Parse and planning failures surface as
 // the typed sentinels ErrEmptyQuery, ErrBadSyntax and
-// ErrShardUnavailable (match with errors.Is); the legacy Search,
-// SearchAny, SearchPhrase and SearchSnippets remain as thin wrappers
-// over the same pipeline.
+// ErrShardUnavailable (match with errors.Is). All, Any and Phrase
+// switch to the flat modes, which treat operators and quotes as plain
+// text.
 //
 // # Query hot path
 //
 // The read side is built to stay allocation-light under heavy query
-// traffic. Index segments are serialized in a block-max v3 format
+// traffic. Index segments are serialized in the block-max v3 format
 // (docs/segment-format.md): a sorted term dictionary whose entries
 // carry per-8-posting-block skip data — last DocID, byte offset, and an
 // exact block-max score frontier — over a postings region that switches
@@ -61,9 +61,9 @@
 // seed). Ranking is document-at-a-time block-max WAND (docs/serving.md):
 // per-term cursors drive top-k early termination against a bounded
 // min-heap threshold, skipping every posting block that provably cannot
-// reach the current page — byte-identical to exhaustive scoring
-// (WithExhaustiveScoring forces the legacy loop; Response.ScoreStats
-// reports postings scanned vs skipped). Segment encoding remains
+// reach the current page — byte-identical to exhaustive scoring, which
+// the tests keep as a reference oracle (Response.ScoreStats reports
+// postings scanned vs skipped). Segment encoding remains
 // byte-deterministic, which commit–reveal task verification depends on.
 //
 // # Concurrent serving
@@ -72,8 +72,7 @@
 // reproducibility: the network simulation derives an independent RNG
 // stream per (caller, target) link, so the same seed yields the same
 // results whether queries run one at a time or raced across goroutines
-// (docs/serving.md has the design; WithSharedNetStream restores the
-// legacy single-stream draws for golden-cost comparisons). Shard waves
+// (docs/serving.md has the design). Shard waves
 // execute as true goroutine fan-outs, concurrent fetches of the same
 // segment digest collapse into one DHT read (singleflight), and both
 // frontend caches are byte-budgeted LRUs (WithCacheBudget) so a
@@ -94,8 +93,8 @@
 // first reply wins the latency, both replies pay bytes, and a failed
 // primary fetch is rescued by the hedge.
 //
-// Every query carries a request lifecycle: context.Context (SearchCtx,
-// QueryCtx) plus a simulated deadline (Deadline, WithDefaultDeadline)
+// Every query carries a request lifecycle: context.Context (QueryCtx)
+// plus a simulated deadline (Deadline, WithDefaultDeadline)
 // thread through the shard, statistics and snippet waves down to the
 // simulated network, whose CallCtx short-circuits cancelled calls
 // without consuming RNG draws — cancellation never desyncs per-seed
@@ -136,7 +135,7 @@
 // RoundReceipt. PublishBatch ingests N pages as ONE atomic contract
 // transaction and one commit-reveal cycle, with the quorum building a
 // single multi-doc segment. DHT state stays byte-identical per seed
-// whether rounds run parallel or sequential (WithParallelRounds);
+// whether rounds run parallel or sequential;
 // cmd/queenbeed's POST /publish serves batch ingest over HTTP under a
 // write lock while queries keep flowing on the read lock.
 //
@@ -169,9 +168,9 @@
 // count — each ingested byte is rewritten about once per tier
 // promotion, O(log rounds) tiers — instead of growing with history;
 // Engine.WriteStats ledgers ingested vs compacted bytes and
-// RoundReceipt carries the per-round figure. WithMonolithicCompaction
-// restores the legacy whole-chain merge as an experiment control, with
-// search responses byte-identical across policies.
+// RoundReceipt carries the per-round figure. The legacy whole-chain
+// merge survives only as the E19 control and a test oracle, with search
+// responses byte-identical across policies.
 //
 // The rank-epoch contract: PageRank refreshes ride the publish stream
 // as epochs. A full epoch (ComputeRanks) recomputes the whole graph; a

@@ -49,10 +49,11 @@ func main() {
 	}
 	fmt.Printf("campaigns open: shoe ad #%d (bid 50), drink ad #%d (bid 30)\n", shoeAd, drinkAd)
 
-	results, ads, err := engine.Search("marathon training", 5)
+	resp, err := engine.Query("marathon training").All().Limit(5).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	results, ads := resp.Results, resp.Ads
 	fmt.Printf("\nsearch 'marathon training': %d results, %d ads\n", len(results), len(ads))
 	for _, ad := range ads {
 		fmt.Printf("  ad #%d keywords=%v bid=%d\n", ad.ID, ad.Keywords, ad.BidPerClick)

@@ -41,11 +41,11 @@ func main() {
 	engine.RunUntilIdle()
 
 	// Search from any device.
-	results, _, err := engine.Search("harvesting honey", 10)
+	found, err := engine.Query("harvesting honey").All().Limit(10).Run()
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, r := range results {
+	for i, r := range found.Results {
 		fmt.Printf("%d. %s (score %.3f)\n", i+1, r.URL, r.Score)
 	}
 
@@ -66,7 +66,7 @@ func main() {
 	fmt.Print(resp.Explain)
 
 	// Fetch the content back — hash-verified end to end.
-	content, err := engine.Fetch(results[0])
+	content, err := engine.Fetch(found.Results[0])
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,18 +61,18 @@ func main() {
 		log.Fatal(err)
 	}
 	engine.RunUntilIdle()
-	if res, _, _ := engine.Search("freshlyedited", 3); len(res) == 1 {
-		fmt.Println("update searchable immediately after publish:", res[0].URL)
+	if resp, err := engine.Query("freshlyedited").All().Limit(3).Run(); err == nil && len(resp.Results) == 1 {
+		fmt.Println("update searchable immediately after publish:", resp.Results[0].URL)
 	}
 
 	// Queries sampled from article text.
 	for _, q := range wiki.Queries(1, 4, 2) {
-		results, _, err := engine.Search(q.Text, 3)
+		resp, err := engine.Query(q.Text).All().Limit(3).Run()
 		if err != nil {
 			continue
 		}
 		fmt.Printf("\nquery %q\n", q.Text)
-		for i, r := range results {
+		for i, r := range resp.Results {
 			fmt.Printf("  %d. %-28s score=%.3f rank=%.4f\n", i+1, r.URL, r.Score, r.Rank)
 		}
 	}

@@ -25,12 +25,12 @@ func modesEngine(t *testing.T) (*Engine, *Account) {
 
 func TestFacadeSearchAny(t *testing.T) {
 	e, _ := modesEngine(t)
-	results, _, err := e.SearchAny("turbines panels", 10)
+	resp, err := e.Query("turbines panels").Any().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("OR results = %+v", results)
+	if len(resp.Results) != 2 {
+		t.Fatalf("OR results = %+v", resp.Results)
 	}
 }
 
@@ -38,55 +38,55 @@ func TestFacadeSearchPhrase(t *testing.T) {
 	e, _ := modesEngine(t)
 	// "convert sunlight" is adjacent only in m1; m3 has "sunlight" in
 	// another context.
-	results, _, err := e.SearchPhrase("convert sunlight", 10)
+	resp, err := e.Query("convert sunlight").Phrase().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 || results[0].URL != "dweb://m1" {
-		t.Fatalf("phrase results = %+v", results)
+	if len(resp.Results) != 1 || resp.Results[0].URL != "dweb://m1" {
+		t.Fatalf("phrase results = %+v", resp.Results)
 	}
 	// Non-adjacent order fails.
-	results, _, err = e.SearchPhrase("sunlight convert", 10)
+	resp, err = e.Query("sunlight convert").Phrase().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 0 {
-		t.Fatalf("reversed phrase should not match: %+v", results)
+	if len(resp.Results) != 0 {
+		t.Fatalf("reversed phrase should not match: %+v", resp.Results)
 	}
 }
 
 func TestFacadeSearchSnippets(t *testing.T) {
 	e, _ := modesEngine(t)
-	results, _, err := e.SearchSnippets("turbines", 5)
+	resp, err := e.Query("turbines").All().WithSnippets().Limit(5).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 1 {
-		t.Fatalf("results = %+v", results)
+	if len(resp.Results) != 1 {
+		t.Fatalf("results = %+v", resp.Results)
 	}
-	if !strings.Contains(results[0].Snippet, "«") {
-		t.Fatalf("snippet missing match marker: %q", results[0].Snippet)
+	if !strings.Contains(resp.Results[0].Snippet, "«") {
+		t.Fatalf("snippet missing match marker: %q", resp.Results[0].Snippet)
 	}
 }
 
 func TestFacadeAndVsOrSubset(t *testing.T) {
 	e, _ := modesEngine(t)
-	and, _, err := e.Search("convert electricity", 10)
+	and, err := e.Query("convert electricity").All().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	or, _, err := e.SearchAny("convert electricity", 10)
+	or, err := e.Query("convert electricity").Any().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(and) > len(or) {
-		t.Fatalf("AND (%d) should never exceed OR (%d)", len(and), len(or))
+	if len(and.Results) > len(or.Results) {
+		t.Fatalf("AND (%d) should never exceed OR (%d)", len(and.Results), len(or.Results))
 	}
 	orURLs := map[string]bool{}
-	for _, r := range or {
+	for _, r := range or.Results {
 		orURLs[r.URL] = true
 	}
-	for _, r := range and {
+	for _, r := range and.Results {
 		if !orURLs[r.URL] {
 			t.Fatalf("AND result %s missing from OR set", r.URL)
 		}
@@ -103,9 +103,9 @@ func TestFacadeSwarmingOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntilIdle()
-	results, _, err := e.Search("swarming", 5)
-	if err != nil || len(results) != 1 {
-		t.Fatalf("results=%v err=%v", results, err)
+	resp, err := e.Query("swarming").All().Limit(5).Run()
+	if err != nil || len(resp.Results) != 1 {
+		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
 }
 

@@ -96,13 +96,13 @@ func dhtWriteState(tb testing.TB, e *Engine) string {
 // same seed and workload must leave byte-identical DHT state — shard
 // pointers, segment bytes, stats — whether the round engine fans its
 // waves out across goroutines (the default) or runs them sequentially
-// (WithParallelRounds(false)). Runs under -race in CI and inside the
+// (the serialWaves oracle). Runs under -race in CI and inside the
 // -count=2 determinism re-run. Costs are exempt: concurrent writers
 // sharing a link may interleave draws, results may not.
 func TestWriteDeterminismSoak(t *testing.T) {
 	const seed = 11
 	parallel := New(WithSeed(seed), WithPeers(10), WithBees(4))
-	sequential := New(WithSeed(seed), WithPeers(10), WithBees(4), WithParallelRounds(false))
+	sequential := New(WithSeed(seed), WithPeers(10), WithBees(4), serialWaves)
 	ingestWorkload(t, parallel, seed)
 	ingestWorkload(t, sequential, seed)
 

@@ -51,10 +51,12 @@ type Config struct {
 
 	// ParallelRounds lets ProcessRound fan its commit and materialize
 	// waves out across goroutines (one per bee, then one per touched
-	// shard). DHT state stays byte-identical either way — the round
-	// engine orders every write deterministically — so this only trades
-	// wall-clock for goroutines. Forced off under Net.SharedStream,
-	// where a single RNG stream makes draw order scheduling-dependent.
+	// shard), and lets queries load their shards as one concurrent wave.
+	// DHT state, results and simulated costs stay byte-identical either
+	// way — writes are ordered deterministically and every link draws
+	// from its own RNG stream — so this only trades wall-clock for
+	// goroutines. Tests turn it off to get a serial-wave oracle with a
+	// fixed execution order.
 	ParallelRounds bool
 
 	// PoolSize is the number of frontends in the serving tier, each

@@ -56,14 +56,11 @@ type Frontend struct {
 	ranksGen  uint64
 	ranksInit bool
 
-	// gallop selects the intersection kernel (A1); queries snapshot it at
-	// start, so flipping it mid-flight never races an executing plan.
-	gallop atomic.Bool
-
 	// wand selects the top-k executor: block-max WAND early termination
 	// (the default) or exhaustive candidate scoring
 	// (Config.ExhaustiveScoring; the E18 baseline). Results are
-	// byte-identical either way; snapshotted per query like gallop.
+	// byte-identical either way; queries snapshot it at start, so
+	// flipping it mid-flight never races an executing plan.
 	wand atomic.Bool
 
 	// hedge, when set by a FrontendPool, is the buddy frontend this one
@@ -116,18 +113,9 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		docURL:      make(map[index.DocID]string),
 		statsGen:    -1,
 	}
-	f.gallop.Store(true)
 	f.wand.Store(!c.cfg.ExhaustiveScoring)
 	return f
 }
-
-// SetUseGallopIntersection selects the intersection kernel (ablation A1).
-// Safe while queries are in flight: each query snapshots the option when
-// it starts executing.
-func (f *Frontend) SetUseGallopIntersection(on bool) { f.gallop.Store(on) }
-
-// UseGallopIntersection reports the currently selected kernel.
-func (f *Frontend) UseGallopIntersection() bool { return f.gallop.Load() }
 
 // SetUseBlockMax selects the top-k executor: block-max WAND early
 // termination (true) or exhaustive scoring (false). Safe while queries
@@ -392,23 +380,19 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	return nil
 }
 
-// fetchSegment returns the immutable segment for a digest: LRU cache
+// fetchSegmentCtx returns the immutable segment for a digest: LRU cache
 // first, then one shared DHT fetch. Concurrent requests for the same
 // digest singleflight — duplicates block until the leader's fetch lands
 // and share its result and cost (they observed the same simulated wall
 // time; the bytes moved on the wire only once and are counted once in the
 // network's global stats).
-func (f *Frontend) fetchSegment(digest string) (*index.Segment, netsim.Cost, error) {
-	return f.fetchSegmentCtx(context.Background(), digest)
-}
-
-// fetchSegmentCtx is fetchSegment with a request lifecycle. The leader
-// fetches under its own ctx, so a cancelled leader abandons the DHT
-// lookup mid-wave; its flight then reports the cancellation and caches
-// nothing. A waiter whose own lifecycle is still live does not inherit
-// that fate — it retries as the new leader — so one cancelled query
-// never fails the innocents coalesced behind it, and the singleflight
-// table never wedges on a dead flight.
+//
+// The leader fetches under its own ctx, so a cancelled leader abandons
+// the DHT lookup mid-wave; its flight then reports the cancellation and
+// caches nothing. A waiter whose own lifecycle is still live does not
+// inherit that fate — it retries as the new leader — so one cancelled
+// query never fails the innocents coalesced behind it, and the
+// singleflight table never wedges on a dead flight.
 func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.Segment, netsim.Cost, error) {
 	for {
 		f.mu.Lock()
@@ -444,18 +428,16 @@ func (f *Frontend) fetchSegmentCtx(ctx context.Context, digest string) (*index.S
 	}
 }
 
-// loadShard fetches a shard's segment chain and returns its merged view.
-// Two cache layers keep warm queries cheap: segments are immutable and
-// cached per digest, and the merged chain is cached per shard keyed by the
-// digest chain — the pointer read is the only per-query DHT traffic until
-// the chain changes. Single-segment chains (the common case after
-// compaction) skip merging entirely, so their postings stay lazy.
-func (f *Frontend) loadShard(shard int) (*index.Segment, netsim.Cost, error) {
-	return f.loadShardCtx(reqBudget{}, 0, shard)
-}
-
-// loadShardCtx is one wave leg with a request lifecycle. e0 is the
-// query's simulated elapsed time when the wave launched; the leg's own
+// loadShardCtx fetches a shard's segment chain and returns its merged
+// view. Two cache layers keep warm queries cheap: segments are immutable
+// and cached per digest, and the merged chain is cached per shard keyed
+// by the digest chain — the pointer read is the only per-query DHT
+// traffic until the chain changes. Single-segment chains (the common
+// case after compaction) skip merging entirely, so their postings stay
+// lazy.
+//
+// It is one wave leg with a request lifecycle. e0 is the query's
+// simulated elapsed time when the wave launched; the leg's own
 // sequential steps (pointer read, then each segment fetch) extend it,
 // and the budget is re-checked before every step — a spent budget
 // abandons the rest of the chain with the partial cost and a typed
@@ -539,13 +521,12 @@ func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*in
 	}
 }
 
-// loadShards resolves a query's distinct shards as one concurrent fetch
-// wave: the independent DHT lookups run on their own goroutines, and the
-// per-link netsim streams keep same-seed results reproducible no matter
-// how the fetches interleave. The wave's cost folds Par in shard order —
-// the slowest shard, not the sum. When the network runs the legacy
-// shared RNG stream (or the wave has one shard), execution stays
-// sequential so historical golden costs cannot shift.
+// loadShardsCtx resolves a query's distinct shards as one concurrent
+// fetch wave: the independent DHT lookups run on their own goroutines
+// (sequentially when Config.ParallelRounds is off), and the per-link
+// netsim streams keep same-seed results and costs reproducible no
+// matter how the fetches interleave. The wave's cost folds Par in shard
+// order — the slowest shard, not the sum.
 //
 // On failure every fetch was still in flight, so the full wave cost is
 // reported alongside the error of the lowest-indexed failing shard —
@@ -553,21 +534,18 @@ func (f *Frontend) loadShardCtx(bud reqBudget, e0 time.Duration, shard int) (*in
 // (asserted in plan_test.go). The map still carries every shard that DID
 // load, so callers with DegradedReads enabled can compose a partial
 // answer instead of discarding the wave.
-func (f *Frontend) loadShards(shards []int) (map[int]*index.Segment, netsim.Cost, error) {
-	return f.loadShardsCtx(reqBudget{}, 0, shards)
-}
-
-// loadShardsCtx is loadShards with a request lifecycle and, on pool
-// frontends, hedged reads. Every leg starts at the wave's base elapsed
-// time e0 (parallel legs share a launch instant; sequential steps inside
-// a leg extend it), and a spent budget abandons each leg's remaining
-// steps — the wave then reports the partial cost of the work that ran
-// and a typed ErrDeadlineExceeded.
+//
+// The wave carries a request lifecycle and, on pool frontends, hedged
+// reads. Every leg starts at the wave's base elapsed time e0 (parallel
+// legs share a launch instant; sequential steps inside a leg extend
+// it), and a spent budget abandons each leg's remaining steps — the
+// wave then reports the partial cost of the work that ran and a typed
+// ErrDeadlineExceeded.
 func (f *Frontend) loadShardsCtx(bud reqBudget, e0 time.Duration, shards []int) (map[int]*index.Segment, netsim.Cost, error) {
 	segs := make([]*index.Segment, len(shards))
 	costs := make([]netsim.Cost, len(shards))
 	errs := make([]error, len(shards))
-	runWave(len(shards), !f.cluster.Net.SharedStream(), func(i int) {
+	runWave(len(shards), f.cluster.cfg.ParallelRounds, func(i int) {
 		segs[i], costs[i], errs[i] = f.loadShardCtx(bud, e0, shards[i])
 	})
 	f.hedgeLeg(bud, e0, shards, segs, costs, errs)
@@ -656,7 +634,7 @@ func (f *Frontend) hedgeLeg(bud reqBudget, e0 time.Duration, shards []int, segs 
 // "Docs > 0" sentinel — an empty corpus is a valid cached answer, not a
 // reason to hit the DHT on every query.
 // Concurrent queries arriving on a stale generation share one DHT read
-// (the same singleflight shape as fetchSegment).
+// (the same singleflight shape as fetchSegmentCtx).
 func (f *Frontend) cachedStats() (IndexStats, netsim.Cost) {
 	n := f.cluster.QB.PageCount()
 	f.mu.Lock()

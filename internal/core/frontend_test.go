@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -66,7 +67,7 @@ func TestFetchSegmentSingleflight(t *testing.T) {
 
 	got := make(chan *index.Segment, 1)
 	go func() {
-		seg, _, err := fe.fetchSegment("deadbeef")
+		seg, _, err := fe.fetchSegmentCtx(context.Background(), "deadbeef")
 		if err != nil {
 			t.Error(err)
 		}
@@ -75,7 +76,7 @@ func TestFetchSegmentSingleflight(t *testing.T) {
 
 	select {
 	case <-got:
-		t.Fatal("fetchSegment returned before the in-flight fetch completed")
+		t.Fatal("fetchSegmentCtx returned before the in-flight fetch completed")
 	case <-time.After(20 * time.Millisecond):
 	}
 
@@ -166,7 +167,7 @@ func TestLoadShardsParallelMatchesSequential(t *testing.T) {
 	}
 
 	// Cold parallel wave.
-	got, _, err := fe.loadShards(shards)
+	got, _, err := fe.loadShardsCtx(reqBudget{}, 0, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ func TestLoadShardsParallelMatchesSequential(t *testing.T) {
 	fe2 := NewFrontend(c, c.Peers[2])
 	want := make(map[int]*index.Segment, len(shards))
 	for _, s := range shards {
-		seg, _, err := fe2.loadShard(s)
+		seg, _, err := fe2.loadShardCtx(reqBudget{}, 0, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -265,9 +265,8 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return partialTrace(nil, 0, loadCost, netsim.Cost{}, err)
 	}
-	// Options are snapshotted once per query: concurrent SetUseGallop-
-	// Intersection / SetUseBlockMax calls can never race a plan
-	// mid-execution.
+	// The executor is snapshotted once per query: a concurrent
+	// SetUseBlockMax call can never race a plan mid-execution.
 	useWAND := f.UseBlockMax()
 
 	var merged map[string]index.PostingList
@@ -296,7 +295,7 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 				merged[term] = seg.Postings(term)
 			}
 		}
-		ev := &evaluator{f: f, merged: merged, explain: q.Explain, gallop: f.UseGallopIntersection()}
+		ev := &evaluator{f: f, merged: merged, explain: q.Explain}
 		if query.HasSite(root) {
 			ev.urls = f.docURLView()
 		}
@@ -378,7 +377,6 @@ type evaluator struct {
 	merged  map[string]index.PostingList
 	urls    map[index.DocID]string // DocID→URL snapshot; set iff the tree has site: filters
 	explain bool
-	gallop  bool // intersection kernel, snapshotted at query start
 }
 
 // node builds an ExplainNode, or nil when tracing is off.
@@ -507,8 +505,7 @@ func (ev *evaluator) evalAnd(n *query.Node) ([]index.DocID, *ExplainNode) {
 	return docs, ev.node("and", "", len(docs), kids)
 }
 
-// intersect runs the configured kernel (ablation A1) over the positive
-// conjunction legs.
+// intersect gallops over the positive conjunction legs.
 func (ev *evaluator) intersect(lists [][]index.DocID) []index.DocID {
 	switch len(lists) {
 	case 0:
@@ -516,10 +513,7 @@ func (ev *evaluator) intersect(lists [][]index.DocID) []index.DocID {
 	case 1:
 		return lists[0]
 	}
-	if ev.gallop {
-		return index.IntersectGallop(lists)
-	}
-	return index.IntersectMerge(lists)
+	return index.IntersectGallop(lists)
 }
 
 // filterSite keeps (or, when keep is false, drops) the candidates whose

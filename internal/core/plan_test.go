@@ -189,7 +189,7 @@ func TestQueryExecuteExplain(t *testing.T) {
 	}
 }
 
-// TestQueryFailedWaveAccounting pins the loadShards error contract: when
+// TestQueryFailedWaveAccounting pins the loadShardsCtx error contract: when
 // one shard of the wave fails, the caller gets no partial result map, the
 // error names the lowest-indexed failing shard and wraps
 // ErrShardUnavailable, and the Explain trace still records the full

@@ -147,6 +147,11 @@ func TestE19WritePathScaling(t *testing.T) {
 	}
 	monoFirst, monoLast := cell(comp, 0, 1), cell(comp, 2, 1)
 	tieredFirst, tieredLast := cell(comp, 0, 2), cell(comp, 2, 2)
+	// Both growth checks compare against the first window, so a policy
+	// that never compacted there would pass them vacuously.
+	if monoFirst <= 0 || tieredFirst <= 0 {
+		t.Fatalf("first window compacted nothing (monolithic %.0f, tiered %.0f B/round)", monoFirst, tieredFirst)
+	}
 	if monoLast < 2*monoFirst {
 		t.Fatalf("monolithic bytes/round grew only %.0f -> %.0f over 4x rounds; expected ~linear growth",
 			monoFirst, monoLast)

@@ -6,7 +6,7 @@ import (
 )
 
 // cursorMeta is a segment's memoized per-term skip metadata: the parsed
-// block skips plus either a materialized posting list (built, v1, v2, or
+// block skips plus either a materialized posting list (built segments or
 // already-decoded terms) or a lazy v3 block source. It is immutable once
 // built; TermCursor instances reference it but keep their own position
 // state, so one query's cursor never perturbs another's.
@@ -54,10 +54,10 @@ func (s *Segment) Cursor(term string) *TermCursor {
 	return &TermCursor{df: m.df, skips: m.skips, pl: m.pl, src: m.src, decoded: -1, boundBi: -1}
 }
 
-// buildCursorMeta assembles a term's skip metadata. Lazy v3 segments
-// parse the skip entries straight out of the dictionary (no posting
-// decode); every other source materializes the list via Postings and
-// derives equivalent skips from it.
+// buildCursorMeta assembles a term's skip metadata. Lazy segments parse
+// the skip entries straight out of the dictionary (no posting decode);
+// built segments, and lazy terms already decoded, materialize the list
+// via Postings and derive equivalent skips from it.
 func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 	s.mu.RLock()
 	lazy := s.lazy
@@ -68,7 +68,7 @@ func (s *Segment) buildCursorMeta(term string) *cursorMeta {
 	}
 	s.mu.RUnlock()
 
-	if lazy != nil && lazy.v3 && !inCache {
+	if lazy != nil && !inCache {
 		e, blob, found, err := lazy.findV3(term)
 		if err != nil || !found {
 			return nil

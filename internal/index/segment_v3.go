@@ -7,14 +7,15 @@ import (
 	"sort"
 )
 
-// Segment format v3: the block-max layout. The outer shell is identical
-// to v2 (magic, gen, docs region, 64-term dictionary index, dict region,
-// postings region), but each dictionary entry now carries per-block skip
-// metadata — last DocID, end byte offset, and the Pareto frontier of
-// (TF, docLen) pairs from which a block-max term score bound can be
-// computed for any corpus stats — and dense terms (df ≥ ndocs/8) switch
-// from delta-varint postings to a bitmap over the segment's sorted doc
-// ordinals. See docs/segment-format.md for the byte layout.
+// Segment format v3: the block-max layout, the only encoding segments
+// have. The outer shell is magic, gen, docs region, 64-term dictionary
+// index, dict region and postings region. Each dictionary entry carries
+// per-block skip metadata — last DocID, end byte offset, and the Pareto
+// frontier of (TF, docLen) pairs from which a block-max term score
+// bound can be computed for any corpus stats — and dense terms
+// (df ≥ ndocs/8) switch from delta-varint postings to a bitmap over the
+// segment's sorted doc ordinals. See docs/segment-format.md for the
+// byte layout.
 const (
 	segmentMagicV3 = 0x5155 // "QU": v3, block-max skip layout
 
@@ -108,10 +109,9 @@ func blockFrontier(pairs []TFDL) []TFDL {
 }
 
 // appendTermV3 encodes one term's dictionary entry and postings blob.
-// Delta terms chain doc gaps across block boundaries (the blob is the
-// v1/v2 posting encoding minus the leading count); bitmap terms emit a
-// bitmap over the segment's doc ordinals followed by a (TF, positions)
-// stream. docLen for frontier pairs falls back to 0 when the doc is not
+// Delta terms chain doc gaps across block boundaries (doc gap, TF,
+// npos, position gaps per posting); bitmap terms emit a bitmap over the
+// segment's doc ordinals followed by a (TF, positions) stream. docLen for frontier pairs falls back to 0 when the doc is not
 // covered (Validate rejects such segments separately; 0 only inflates
 // the bound, which stays safe).
 func appendTermV3(dict, posts []byte, term string, pl PostingList, docLens map[DocID]uint32, docsSorted []DocID, pairs *[]TFDL) ([]byte, []byte) {
@@ -253,10 +253,24 @@ func (s *Segment) encodeV3() []byte {
 	return out
 }
 
-// decodeDocLensOrdered parses the docs region like decodeDocLens but also
-// returns the doc IDs in encounter order, enforcing the strictly
-// ascending order v3 bitmaps index into.
-func decodeDocLensOrdered(data []byte, into map[DocID]uint32) ([]byte, []DocID, error) {
+// appendDocLens emits the docs region: sorted doc IDs, delta-encoded,
+// each followed by its analyzed length.
+func appendDocLens(out []byte, docLens map[DocID]uint32) []byte {
+	docs := sortedDocIDs(docLens)
+	out = binary.AppendUvarint(out, uint64(len(docs)))
+	prev := uint64(0)
+	for _, d := range docs {
+		out = binary.AppendUvarint(out, uint64(d)-prev)
+		prev = uint64(d)
+		out = binary.AppendUvarint(out, uint64(docLens[d]))
+	}
+	return out
+}
+
+// decodeDocLens parses the docs region into the map and also returns the
+// doc IDs in encounter order, enforcing the strictly ascending order
+// bitmaps index into, plus the remaining bytes.
+func decodeDocLens(data []byte, into map[DocID]uint32) ([]byte, []DocID, error) {
 	ndocs, n := binary.Uvarint(data)
 	if n <= 0 || ndocs > uint64(len(data))/2 {
 		return nil, nil, errCorruptSegment
@@ -296,7 +310,7 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 	data = data[n:]
 
 	docLens := make(map[DocID]uint32)
-	data, docsSorted, err := decodeDocLensOrdered(data, docLens)
+	data, docsSorted, err := decodeDocLens(data, docLens)
 	if err != nil {
 		return nil, err
 	}
@@ -372,7 +386,6 @@ func decodeSegmentV3(raw, data []byte) (*Segment, error) {
 			dict:       dict,
 			posts:      posts,
 			nterms:     int(nterms),
-			v3:         true,
 			docsSorted: docsSorted,
 		},
 	}, nil
@@ -505,14 +518,17 @@ func parseSkipsV3(raw []byte, df int) ([]BlockSkip, error) {
 	return skips, nil
 }
 
-// validateLazyRegionsV3 is the v3 counterpart of validateLazyRegions: it
-// walks the dictionary and postings regions once at decode time, checks
-// the 64-term block index against the walk, and — beyond the v2 checks —
-// re-derives every skip entry (last DocID, end offset, frontier) from
-// the postings bytes and requires exact agreement, so lying block-max
-// bounds are rejected up front rather than silently corrupting top-k
-// results. Fail-loud parity with v2: any structural or metadata lie
-// fails the whole decode.
+// validateLazyRegionsV3 walks the dictionary and postings regions once
+// at decode time: dictionary entries must parse with strictly sorted
+// terms and a count matching nterms, blobs must tile the postings region
+// exactly, and each block-index record must agree exactly with the walk
+// (its first term and both offsets land on the entry the walk reaches at
+// that stride) so lookups can trust the index. It also re-derives every
+// skip entry (last DocID, end offset, frontier) from the postings bytes
+// and requires exact agreement, so lying block-max bounds are rejected
+// up front rather than silently corrupting top-k results. Any structural
+// or metadata lie fails the whole decode: a byzantine worker's digest
+// covers its corrupt bytes, so hash verification alone cannot catch it.
 func validateLazyRegionsV3(dict, posts []byte, nterms int, blocks []lazyBlock, docLens map[DocID]uint32, docsSorted []DocID) error {
 	var prev []byte
 	count, postOff := 0, 0
@@ -765,52 +781,4 @@ func (l *lazySegment) findV3(term string) (e dictEntryV3, blob []byte, found boo
 		postOff += ent.blobLen
 	}
 	return e, nil, false, nil
-}
-
-// lookupV3 is the v3 counterpart of lookup: decode exactly one term's
-// posting list on a hit.
-func (l *lazySegment) lookupV3(term string) (PostingList, bool, error) {
-	e, blob, found, err := l.findV3(term)
-	if err != nil || !found {
-		return nil, found, err
-	}
-	pl, err := decodeTermBlobV3(blob, e, l.docsSorted)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := pl.sortCheck(); err != nil {
-		return nil, false, err
-	}
-	return pl, true, nil
-}
-
-// decodeAllV3 decodes every posting list in dictionary order. Caller
-// holds the owning Segment's write lock.
-func (l *lazySegment) decodeAllV3() (map[string]PostingList, error) {
-	m := make(map[string]PostingList, l.nterms)
-	dict := l.dict
-	postOff := 0
-	for len(dict) > 0 {
-		e, rest, err := nextDictEntryV3(dict)
-		if err != nil {
-			return nil, err
-		}
-		dict = rest
-		if postOff+e.blobLen > len(l.posts) {
-			return nil, errCorruptSegment
-		}
-		pl, err := decodeTermBlobV3(l.posts[postOff:postOff+e.blobLen], e, l.docsSorted)
-		if err != nil {
-			return nil, err
-		}
-		if err := pl.sortCheck(); err != nil {
-			return nil, err
-		}
-		m[string(e.term)] = pl
-		postOff += e.blobLen
-	}
-	if len(m) != l.nterms {
-		return nil, errCorruptSegment
-	}
-	return m, nil
 }

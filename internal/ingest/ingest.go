@@ -367,9 +367,7 @@ func (c *crawl) sequence() Stats {
 		seq := c.nextSeq
 		r := c.results[seq]
 		delete(c.results, seq)
-		c.nextSeq++
 		discovered := c.disc[seq]
-		c.cond.Broadcast() // nextSeq moved: idle workers may now exit
 		c.mu.Unlock()
 
 		// Virtual fetch schedule: the least-loaded simulated worker
@@ -387,40 +385,46 @@ func (c *crawl) sequence() Stats {
 		done := start + r.latency
 		free[w] = done
 
-		if r.dangling {
-			st.Dangling++
-			continue
-		}
-		if r.failed {
-			st.FetchFailed++
-			continue
-		}
-		st.Fetched++
+		fetched := !r.dangling && !r.failed
 		demoted := false
-		if sigs != nil {
-			if key, sim := sigs.Nearest(r.sig); key != "" && sim >= c.opts.DedupThreshold {
-				demoted = true
-				st.Deduped++
-			} else {
-				sigs.Add(r.page.URL, r.sig)
+		switch {
+		case r.dangling:
+			st.Dangling++
+		case r.failed:
+			st.FetchFailed++
+		default:
+			st.Fetched++
+			if sigs != nil {
+				if key, sim := sigs.Nearest(r.sig); key != "" && sim >= c.opts.DedupThreshold {
+					demoted = true
+					st.Deduped++
+				} else {
+					sigs.Add(r.page.URL, r.sig)
+				}
 			}
 		}
+		// nextSeq advances in the same critical section that appends
+		// this page's links: between the two, nextSeq == len(frontier)
+		// would tell every idle worker the crawl is over.
 		c.mu.Lock()
-		for _, l := range r.page.Links {
-			if c.visited[l] {
-				continue
+		if fetched {
+			for _, l := range r.page.Links {
+				if c.visited[l] {
+					continue
+				}
+				if c.opts.MaxPages > 0 && len(c.frontier) >= c.opts.MaxPages {
+					break
+				}
+				c.visited[l] = true
+				c.frontier = append(c.frontier, l)
+				c.disc = append(c.disc, done)
 			}
-			if c.opts.MaxPages > 0 && len(c.frontier) >= c.opts.MaxPages {
-				break
-			}
-			c.visited[l] = true
-			c.frontier = append(c.frontier, l)
-			c.disc = append(c.disc, done)
 		}
+		c.nextSeq++
 		c.cond.Broadcast()
 		c.mu.Unlock()
-		if demoted {
-			continue // links still crawl; only the content is demoted
+		if !fetched || demoted {
+			continue // a demoted page's links still crawl; only its content is dropped
 		}
 		select {
 		case c.ch <- item{page: r.page, done: done}:

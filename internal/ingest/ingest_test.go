@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -301,5 +302,44 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.Speedup() != 1.5 {
 		t.Fatalf("speedup %v", a.Speedup())
+	}
+}
+
+// TestIngestChainStress crawls a long chain many times. A chain keeps
+// the frontier exactly one page ahead of the sequencer, so any gap
+// between advancing nextSeq and appending a page's links lets every
+// fetch worker exit early and the crawl hangs. Each crawl runs under a
+// watchdog that fails with a full goroutine dump instead of hanging.
+// Dedup is off: only liveness is under test, and it halves the run time.
+func TestIngestChainStress(t *testing.T) {
+	pages := chainPages(400)
+	src := MapSource(pages)
+	runs := 200
+	if testing.Short() {
+		runs = 50
+	}
+	for i := 0; i < runs; i++ {
+		sink := &fakeSink{}
+		var st Stats
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			st, err = Crawl(context.Background(), src, sink, []string{pages[0].URL},
+				Options{Seed: uint64(i), FetchWorkers: 4, BatchSize: 16, QueueDepth: 4, DedupThreshold: -1})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run %d: %v", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("run %d: crawl hung\n%s", i, buf)
+		}
+		if st.Fetched != len(pages) || st.Dangling != 1 {
+			t.Fatalf("run %d: stats %+v, want all %d pages fetched", i, st, len(pages))
+		}
 	}
 }

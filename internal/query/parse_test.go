@@ -133,3 +133,34 @@ func eqStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// FuzzParse: any input either parses or fails with a typed error — the
+// parser never panics, every error matches ErrEmptyQuery or ErrBadSyntax
+// under errors.Is, and parsing is a pure function of the input (the same
+// input always renders the same canonical String()).
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "cats", "cats dogs", "cats OR dogs", `"red apples"`, "cats -dogs",
+		"(cats OR dogs) mice", "site:dweb://a/ cats", "-site:dweb://b/ cats",
+		"the of and", "((", ")", `"unterminated`, "OR", "cats AND", "--cats",
+		"site:", "-(a OR b)", "a OR (b -c) \"d e\"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		n, err := Parse(in)
+		if err != nil {
+			if !errors.Is(err, ErrEmptyQuery) && !errors.Is(err, ErrBadSyntax) {
+				t.Fatalf("Parse(%q): untyped error %v", in, err)
+			}
+			return
+		}
+		again, err := Parse(in)
+		if err != nil {
+			t.Fatalf("Parse(%q): second parse failed: %v", in, err)
+		}
+		if n.String() != again.String() {
+			t.Fatalf("Parse(%q) not deterministic: %s vs %s", in, n, again)
+		}
+	})
+}

@@ -79,18 +79,6 @@ func WithCacheBudget(segBytes, chainBytes int64) Option {
 	}
 }
 
-// WithParallelRounds controls whether the write-side round engine fans
-// its work out across goroutines: bee commit compute as one wave per
-// round, then shard materialization as one wave per touched shard. On
-// by default. DHT state is byte-identical either way (the round engine
-// orders every write deterministically), so turning it off only trades
-// wall-clock for a single-threaded drive — useful for golden-cost
-// comparisons and the determinism soak. Shared-stream mode
-// (WithSharedNetStream) forces rounds sequential regardless.
-func WithParallelRounds(on bool) Option {
-	return func(c *core.Config) { c.ParallelRounds = on }
-}
-
 // WithFrontendPool sets the serving tier's size: n stateless frontends,
 // each attached to its own peer with its own byte-budgeted caches,
 // behind a deterministic least-loaded balancer (fewest in-flight, then
@@ -150,29 +138,6 @@ func WithDegradedReads(on bool) Option {
 	return func(c *core.Config) { c.DegradedReads = on }
 }
 
-// WithExhaustiveScoring disables block-max early termination and scores
-// every candidate document against every query term, exactly as the
-// engine did before segment format v3. Results are byte-identical either
-// way (the WAND executor is property-tested against this mode); the
-// switch exists for baseline measurement — E18 compares the two — and as
-// an escape hatch. Off by default.
-func WithExhaustiveScoring(on bool) Option {
-	return func(c *core.Config) { c.ExhaustiveScoring = on }
-}
-
-// WithMonolithicCompaction switches the write path back to the legacy
-// compaction policy: once a shard's chain passes the threshold, the
-// WHOLE chain is merged into one segment — every firing rewrites
-// O(shard bytes), so steady ingest pays write amplification that grows
-// with the shard. The default (off) is tiered compaction: size-tiered
-// levels with at most one bucket merge per shard per round, keeping
-// bytes rewritten per round O(round bytes · log(shard bytes)). Search
-// results are byte-identical under either policy (property-tested); the
-// switch exists as the E19 control and as an escape hatch.
-func WithMonolithicCompaction(on bool) Option {
-	return func(c *core.Config) { c.MonolithicCompaction = on }
-}
-
 // WithRankFullEvery sets the exactness escape hatch of delta page-rank
 // epochs: every n-th epoch started by ComputeRanksDelta runs a full
 // recompute instead of an incremental pass, bounding the drift the
@@ -182,13 +147,4 @@ func WithMonolithicCompaction(on bool) Option {
 // resulting staleness.
 func WithRankFullEvery(n int) Option {
 	return func(c *core.Config) { c.RankFullEvery = n }
-}
-
-// WithSharedNetStream switches the network simulation back to the legacy
-// single RNG stream for jitter/drop draws. Simulated costs then match
-// historical golden values exactly, but concurrent queries lose per-seed
-// cost reproducibility (results stay deterministic either way), and the
-// engine serializes shard waves to keep the stream stable.
-func WithSharedNetStream(on bool) Option {
-	return func(c *core.Config) { c.Net.SharedStream = on }
 }

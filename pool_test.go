@@ -198,7 +198,7 @@ func (c cancelWhen) Err() error {
 }
 
 // TestQueryCancelBetweenShardFetches is the mid-wave cancellation soak:
-// under the legacy shared stream the shard wave runs sequentially, so a
+// under the serialWaves oracle the shard wave runs sequentially, so a
 // context that cancels once the first shard's chain is cached stops the
 // query deterministically between shard fetches. The query must return
 // ErrDeadlineExceeded with a partial trace, leave caches and
@@ -206,8 +206,8 @@ func (c cancelWhen) Err() error {
 // after), and the rerun must produce exactly the never-cancelled
 // engine's results.
 func TestQueryCancelBetweenShardFetches(t *testing.T) {
-	baselineEngine, corp := soakEngine(t, 13, 12, WithSharedNetStream(true))
-	e, _ := soakEngine(t, 13, 12, WithSharedNetStream(true))
+	baselineEngine, corp := soakEngine(t, 13, 12, serialWaves)
+	e, _ := soakEngine(t, 13, 12, serialWaves)
 	q := corp.Vocab(0) + " " + corp.Vocab(1) + " " + corp.Vocab(2)
 
 	baseline, err := baselineEngine.Query(q).All().Explain().Run()

@@ -1,7 +1,6 @@
 package queenbee
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strconv"
@@ -15,13 +14,12 @@ import (
 )
 
 // Engine is a running QueenBee deployment (simulated swarm + chain +
-// contract + serving tier). Create with New; drive with Publish / Run /
-// Search.
+// contract + serving tier). Create with New; drive with Publish / Run;
+// ask with Query(...).Run().
 //
-// Concurrency: the query side — Search, SearchAny, SearchPhrase,
-// SearchSnippets, the *Ctx variants, Query builders, Fetch — is safe
-// for concurrent use, and with the default per-link network streams the
-// same seed yields byte-identical results whether queries run
+// Concurrency: the query side — Query and QueryCtx builders, Fetch — is
+// safe for concurrent use, and the per-link network streams make the
+// same seed yield byte-identical results whether queries run
 // sequentially or raced across goroutines (cmd/queenbeed serves HTTP on
 // exactly this contract; docs/serving.md has the design). Queries are
 // served by a pool of per-peer frontends behind a deterministic
@@ -34,7 +32,7 @@ import (
 // side is itself concurrent — ProcessRound fans bee compute and shard
 // materialization out as goroutine waves (docs/indexing.md) — without
 // costing determinism: same-seed runs produce byte-identical DHT state
-// whether rounds run parallel or sequential (WithParallelRounds).
+// whether rounds run parallel or sequential.
 type Engine struct {
 	// Cluster exposes the full simulation for advanced use (experiment
 	// harnesses, fault injection). Most callers never need it.
@@ -65,7 +63,7 @@ type Result struct {
 	URL     string
 	Score   float64
 	Rank    float64
-	Snippet string // set by SearchSnippets
+	Snippet string // set by Query(...).WithSnippets()
 }
 
 // Ad is an advertisement attached to a search response.
@@ -168,51 +166,6 @@ func (e *Engine) RunRound() RoundReceipt {
 // RunUntilIdle drives rounds until no open tasks remain.
 func (e *Engine) RunUntilIdle() {
 	e.Cluster.RunUntilIdle(50)
-}
-
-// Search answers a conjunctive (AND) keyword query with ranked results
-// and relevant ads. It is a thin wrapper over the Query builder's flat
-// All mode; use Query directly for boolean operators, exclusions,
-// site: filters, pagination and Explain.
-func (e *Engine) Search(query string, k int) ([]Result, []Ad, error) {
-	return e.SearchCtx(context.Background(), query, k)
-}
-
-// SearchCtx is Search with a request lifecycle: cancelling ctx abandons
-// the query's remaining simulated waves and fails it with
-// ErrDeadlineExceeded (caches and singleflights stay consistent). Pair
-// with WithDefaultDeadline or QueryCtx(...).Deadline(d) for simulated
-// latency bounds.
-func (e *Engine) SearchCtx(ctx context.Context, query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.QueryCtx(ctx, query).All().Limit(k).Run())
-}
-
-// SearchAny returns documents matching any query term (OR semantics); a
-// thin wrapper over Query(...).Any().
-func (e *Engine) SearchAny(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).Any().Limit(k).Run())
-}
-
-// SearchPhrase returns documents containing the query terms as an exact
-// adjacent phrase (positional postings); a thin wrapper over
-// Query(...).Phrase().
-func (e *Engine) SearchPhrase(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).Phrase().Limit(k).Run())
-}
-
-// SearchSnippets is Search with a text snippet extracted around the
-// first match of each result (costs extra content fetches); a thin
-// wrapper over Query(...).All().WithSnippets().
-func (e *Engine) SearchSnippets(query string, k int) ([]Result, []Ad, error) {
-	return collapse(e.Query(query).All().WithSnippets().Limit(k).Run())
-}
-
-// collapse adapts a builder response to the legacy triple signature.
-func collapse(resp *Response, err error) ([]Result, []Ad, error) {
-	if err != nil {
-		return nil, nil, err
-	}
-	return resp.Results, resp.Ads, nil
 }
 
 // Fetch downloads and hash-verifies the content behind a search result.

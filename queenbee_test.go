@@ -4,6 +4,22 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+)
+
+// Reference oracles that are not part of the public option set. Each
+// leaves results byte-identical and changes only how the work is done.
+var (
+	// exhaustiveScoring scores every candidate against every term
+	// instead of block-max WAND early termination.
+	exhaustiveScoring Option = func(c *core.Config) { c.ExhaustiveScoring = true }
+	// monolithicCompaction merges a shard's whole chain once it passes
+	// the threshold, instead of size-tiered compaction.
+	monolithicCompaction Option = func(c *core.Config) { c.MonolithicCompaction = true }
+	// serialWaves runs every round wave and every query shard wave
+	// sequentially, in a fixed order.
+	serialWaves Option = func(c *core.Config) { c.ParallelRounds = false }
 )
 
 func newEngine(t *testing.T, opts ...Option) *Engine {
@@ -19,10 +35,11 @@ func TestEngineQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.RunUntilIdle()
-	results, _, err := e.Search("honeycomb cells", 10)
+	resp, err := e.Query("honeycomb cells").All().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := resp.Results
 	if len(results) != 1 || results[0].URL != "dweb://hive" {
 		t.Fatalf("results = %+v", results)
 	}
@@ -84,9 +101,9 @@ func TestEngineAdFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ads, err := e.Search("bread baking", 10)
-	if err != nil || len(ads) != 1 || ads[0].ID != adID {
-		t.Fatalf("ads=%v err=%v", ads, err)
+	resp, err := e.Query("bread baking").All().Run()
+	if err != nil || len(resp.Ads) != 1 || resp.Ads[0].ID != adID {
+		t.Fatalf("resp=%+v err=%v", resp, err)
 	}
 	creatorBefore := e.Balance(alice)
 	if err := e.Click(user, adID, "dweb://recipes"); err != nil {
@@ -118,8 +135,11 @@ func TestEngineDeterminism(t *testing.T) {
 		e.Publish(a, "dweb://d1", "alpha beta gamma delta", nil)
 		e.Publish(a, "dweb://d2", "alpha beta epsilon zeta", nil)
 		e.RunUntilIdle()
-		res, _, _ := e.Search("alpha beta", 10)
-		return res
+		resp, err := e.Query("alpha beta").All().Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Results
 	}
 	x, y := run(), run()
 	if len(x) != len(y) || len(x) != 2 {
@@ -136,7 +156,7 @@ func TestEngineErrors(t *testing.T) {
 	e := newEngine(t)
 	alice := e.NewAccount("alice", 1000)
 	user := e.NewAccount("user", 10)
-	if _, _, err := e.Search("the of and", 10); err == nil {
+	if _, err := e.Query("the of and").All().Run(); err == nil {
 		t.Fatal("stopword-only query should error")
 	}
 	if err := e.Click(user, 999, "dweb://nope"); err == nil {

@@ -34,7 +34,7 @@ func wandPair(t testing.TB, seed uint64, ndocs int, rankWeight float64) (wand, e
 		e.RunUntilIdle()
 		return e
 	}
-	return build(), build(WithExhaustiveScoring(true)), corp
+	return build(), build(exhaustiveScoring), corp
 }
 
 // wandWorkload builds the query mix the equivalence tests replay on both
@@ -147,7 +147,7 @@ func TestSearchScalingSublinear(t *testing.T) {
 	scanned := map[int]int64{}
 	for _, ndocs := range []int{48, 4800} {
 		e, corp := scalingCorpusEngine(t, ndocs)
-		ex, _ := scalingCorpusEngine(t, ndocs, WithExhaustiveScoring(true))
+		ex, _ := scalingCorpusEngine(t, ndocs, exhaustiveScoring)
 		queries := corp.Queries(7, 32, 1)
 		var total int64
 		for _, q := range queries {
@@ -174,18 +174,21 @@ func TestSearchScalingSublinear(t *testing.T) {
 		scanned[ndocs] = total / int64(len(queries))
 	}
 	t.Logf("postings scanned per query: 1x=%d 100x=%d", scanned[48], scanned[4800])
+	if scanned[48] == 0 {
+		t.Fatal("no postings counted at 1x: the growth bound would hold vacuously")
+	}
 	if scanned[4800] > 10*scanned[48] {
 		t.Fatalf("postings scanned grew superlinearly with corpus: 1x=%d 100x=%d (> 10x)",
 			scanned[48], scanned[4800])
 	}
 }
 
-// TestExhaustiveScoringOption: the option must actually land in the
-// config and zero out skip counters.
+// TestExhaustiveScoringOption: the exhaustiveScoring oracle must
+// actually land in the config and zero out skip counters.
 func TestExhaustiveScoringOption(t *testing.T) {
-	e := New(WithSeed(1), WithPeers(6), WithBees(2), WithExhaustiveScoring(true))
+	e := New(WithSeed(1), WithPeers(6), WithBees(2), exhaustiveScoring)
 	if !e.Cluster.Config().ExhaustiveScoring {
-		t.Fatal("WithExhaustiveScoring did not set config")
+		t.Fatal("exhaustiveScoring did not set config")
 	}
 	owner := e.NewAccount("o", 1000)
 	if err := e.Publish(owner, "dweb://p", "exhaustive scoring option body", nil); err != nil {
