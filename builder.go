@@ -3,6 +3,7 @@ package queenbee
 import (
 	"context"
 	"errors"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -82,8 +83,8 @@ type Response struct {
 // The default mode parses the full query language: uppercase OR/AND
 // operators, '-' exclusions, quoted phrases, site: URL-prefix filters,
 // and parentheses (docs/query-language.md has the grammar). All, Any
-// and Phrase switch to the flat legacy modes, which treat every one of
-// those as plain text.
+// and Phrase switch to the flat modes, which treat every one of those
+// as plain text.
 //
 // Builders are single-use: configure, then Run once.
 type QueryBuilder struct {
@@ -155,7 +156,12 @@ func (b *QueryBuilder) Page(n, size int) *QueryBuilder {
 		size = b.limit
 	}
 	b.limit = size
-	b.offset = (n - 1) * size
+	// Saturate instead of wrapping: a page past MaxInt ranks is empty,
+	// never page 1 again.
+	b.offset = math.MaxInt
+	if n-1 <= math.MaxInt/size {
+		b.offset = (n - 1) * size
+	}
 	return b
 }
 

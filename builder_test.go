@@ -3,7 +3,9 @@ package queenbee
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -250,6 +252,52 @@ func TestQueryBuilderPagination(t *testing.T) {
 	}
 }
 
+// TestQueryBuilderDeepPageAllocation: a deep page over a short result
+// list must not size its top-k heap by the page. Page(1<<20, 100) is
+// the deepest page queenbeed accepts; on a one-page engine it asks for
+// rank ~10^8 and must come back empty, with the right Total, having
+// allocated under 1 MiB — for the bare-term, AND and OR executors.
+func TestQueryBuilderDeepPageAllocation(t *testing.T) {
+	e := newEngine(t)
+	alice := e.NewAccount("alice", 1000)
+	if err := e.Publish(alice, "dweb://hive", "worker bees build honeycomb cells", nil); err != nil {
+		t.Fatal(err)
+	}
+	e.RunUntilIdle()
+	for _, q := range []string{"honeycomb", "honeycomb cells", "honeycomb OR wax"} {
+		// Warm the caches so the measured run pays only for the query.
+		if _, err := e.Query(q).Run(); err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := e.Query(q).Page(1<<20, 100).Run()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if len(resp.Results) != 0 || resp.Total != 1 {
+			t.Fatalf("%q deep page: %d results, total %d; want 0, 1", q, len(resp.Results), resp.Total)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%q deep page allocated %d B, want < 1 MiB", q, alloc)
+		}
+	}
+}
+
+// TestQueryBuilderPageOverflow: a page number whose offset overflows
+// int saturates to an empty page; it must never wrap around to page 1.
+func TestQueryBuilderPageOverflow(t *testing.T) {
+	e := paginationEngine(t, 13)
+	resp, err := e.Query("melon").Page(1<<61, 8).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Results) != 0 || resp.Total != 7 {
+		t.Fatalf("Page(1<<61, 8): %d results, total %d; want 0, 7", len(resp.Results), resp.Total)
+	}
+}
+
 // TestQueryBuilderPaginationDeterminism rebuilds an identical engine
 // and expects byte-identical pages — the property the CI -count=2 rerun
 // guards inside one process as well.
@@ -311,4 +359,72 @@ func TestQueryRegisterAdOwnCampaignID(t *testing.T) {
 	if ads := resp.Ads; len(ads) < 2 || ads[0].ID != idB {
 		t.Fatalf("ads = %+v, want campaign %d first", ads, idB)
 	}
+}
+
+// fuzzEngine is the one 20-page engine every FuzzQueryRun input runs
+// against, built on first use.
+var fuzzEngine = sync.OnceValue(func() *Engine {
+	e := New(WithSeed(5), WithPeers(10), WithBees(3))
+	alice := e.NewAccount("alice", 100000)
+	words := []string{"cats", "dogs", "mice", "red apples", "solar", "wind turbine",
+		"panels", "nuclear", "green", "orchard"}
+	for i := 0; i < 20; i++ {
+		site := []string{"a", "b", "energy"}[i%3]
+		url := fmt.Sprintf("dweb://%s/%02d", site, i)
+		text := fmt.Sprintf("%s and %s near the %s", words[i%len(words)],
+			words[(i*3+1)%len(words)], words[(i*7+2)%len(words)])
+		if err := e.Publish(alice, url, text, nil); err != nil {
+			panic(err)
+		}
+	}
+	e.RunUntilIdle()
+	return e
+})
+
+// FuzzQueryRun drives arbitrary strings through the whole query path,
+// Engine.Query(s).Run(), not just the parser: every error is a typed
+// ErrEmptyQuery or ErrBadSyntax, Total never undercounts the returned
+// page, and a rerun returns the same Results and Total.
+func FuzzQueryRun(f *testing.F) {
+	for _, seed := range []string{
+		// The parser's golden and malformed cases.
+		"cats", "cats dogs", "cats AND dogs", "cats OR dogs", "cats OR dogs OR mice",
+		`"red apples"`, `"sunlight"`, "wind-turbine", "(cats OR dogs) mice",
+		"cats (dogs OR mice)", "cats -dogs", "cats -dogs -mice", `cats -"red apples"`,
+		"cats -(dogs OR mice)", "site:dweb://a/ cats", "cats -site:dweb://a/",
+		`solar "wind turbine" OR panels -nuclear site:dweb://energy/`,
+		"the cats", "cats the dogs", "-the cats", "the OR cats", "cats or dogs",
+		"cats and dogs", "", "   ", "the of and", "()", `"unterminated`, "cats OR",
+		"OR cats", "cats OR OR dogs", "cats AND", "AND cats", "cats AND AND dogs",
+		"cats -", "cats - dogs", "(cats", "cats)", "site:", "-cats", "-cats -dogs",
+		"site:dweb://a/", "cats OR -dogs", "cats OR site:dweb://a/",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		e := fuzzEngine()
+		resp, err := e.Query(in).Run()
+		if err != nil {
+			if !errors.Is(err, ErrEmptyQuery) && !errors.Is(err, ErrBadSyntax) {
+				t.Fatalf("Query(%q): untyped error %v", in, err)
+			}
+			return
+		}
+		if resp.Total < len(resp.Results) {
+			t.Fatalf("Query(%q): Total %d < %d results", in, resp.Total, len(resp.Results))
+		}
+		again, err := e.Query(in).Run()
+		if err != nil {
+			t.Fatalf("Query(%q): rerun failed: %v", in, err)
+		}
+		if again.Total != resp.Total || len(again.Results) != len(resp.Results) {
+			t.Fatalf("Query(%q): rerun total/len %d/%d, first %d/%d",
+				in, again.Total, len(again.Results), resp.Total, len(resp.Results))
+		}
+		for i := range resp.Results {
+			if again.Results[i] != resp.Results[i] {
+				t.Fatalf("Query(%q) rank %d: rerun %+v, first %+v", in, i, again.Results[i], resp.Results[i])
+			}
+		}
+	})
 }

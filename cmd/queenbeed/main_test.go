@@ -92,6 +92,19 @@ func TestSearchPaginationTiles(t *testing.T) {
 	}
 }
 
+// TestSearchDeepPage: the deepest page the handler accepts comes back
+// empty, with the same Total as page 1, instead of sizing the top-k heap
+// by the page (~10^8 ranks).
+func TestSearchDeepPage(t *testing.T) {
+	h := serverHandler(t)
+	var first, deep searchJSON
+	getJSON(t, h, "/search?q="+testTerm+"&size=100", http.StatusOK, &first)
+	getJSON(t, h, "/search?q="+testTerm+"&page=1048576&size=100", http.StatusOK, &deep)
+	if len(deep.Results) != 0 || deep.Total != first.Total || first.Total == 0 {
+		t.Fatalf("deep page: %d results, total %d; page 1 total %d", len(deep.Results), deep.Total, first.Total)
+	}
+}
+
 func TestSearchModesAndSnippets(t *testing.T) {
 	h := serverHandler(t)
 	for _, mode := range []string{"parsed", "all", "any", "phrase"} {

@@ -62,8 +62,9 @@
 // per-term cursors drive top-k early termination against a bounded
 // min-heap threshold, skipping every posting block that provably cannot
 // reach the current page — byte-identical to exhaustive scoring, which
-// the tests keep as a reference oracle (Response.ScoreStats reports
-// postings scanned vs skipped). Segment encoding remains
+// core.Config.ExhaustiveScoring keeps as the one reference oracle for
+// the tests and E18 (Response.ScoreStats reports postings scanned vs
+// skipped). Segment encoding remains
 // byte-deterministic, which commit–reveal task verification depends on.
 //
 // # Concurrent serving

@@ -34,7 +34,7 @@ func main() {
 	searchable := func(fe *core.Frontend) int {
 		hits := 0
 		for _, m := range markers {
-			if resp, err := fe.Search(m, 3); err == nil && len(resp.Results) > 0 {
+			if resp, err := fe.Execute(core.Query{Raw: m, Mode: core.PlanAll, Limit: 3}); err == nil && len(resp.Results) > 0 {
 				hits++
 			}
 		}

@@ -78,7 +78,7 @@ func runChurnSoak(t *testing.T) string {
 		fe := NewFrontend(c, c.Bees[round%len(c.Bees)].Peer)
 		hits, degraded := 0, 0
 		for _, m := range markers {
-			resp, err := fe.Search(m, 5)
+			resp, err := fe.Execute(Query{Raw: m, Mode: PlanAll, Limit: 5})
 			if err == nil && len(resp.Results) > 0 {
 				hits++
 			}

@@ -33,7 +33,7 @@ func searchableCount(t *testing.T, c *Cluster, fe *Frontend, markers []string) i
 	t.Helper()
 	hits := 0
 	for _, m := range markers {
-		resp, err := fe.Search(m, 5)
+		resp, err := fe.Execute(Query{Raw: m, Mode: PlanAll, Limit: 5})
 		if err == nil && len(resp.Results) > 0 {
 			hits++
 		}
@@ -88,7 +88,7 @@ func TestIndexingContinuesDuringChurn(t *testing.T) {
 	c.Seal()
 	c.RunUntilIdle(8)
 	fe := NewFrontend(c, c.Bees[1].Peer)
-	resp, err := fe.Search("churnfresh", 5)
+	resp, err := fe.Execute(Query{Raw: "churnfresh", Mode: PlanAll, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

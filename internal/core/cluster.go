@@ -84,9 +84,11 @@ type Config struct {
 	// instead of failing the whole wave.
 	DegradedReads bool
 
-	// ExhaustiveScoring disables the block-max WAND top-k executor (A?
-	// ablation / E18 baseline): every candidate document is fully scored.
-	// Results are byte-identical either way; only the work differs.
+	// ExhaustiveScoring disables the block-max WAND top-k executor for
+	// every query of the cluster: every candidate document is fully
+	// scored. It is the one exhaustive switch — the tests' reference
+	// oracle and E18's baseline. Results are byte-identical either way;
+	// only the work differs.
 	ExhaustiveScoring bool
 
 	// MonolithicCompaction restores the legacy compaction policy (merge a

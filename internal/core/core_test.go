@@ -48,7 +48,7 @@ func TestPublishIndexSearchPipeline(t *testing.T) {
 	}
 
 	fe := NewFrontend(c, c.Peers[5])
-	resp, err := fe.Search("honey colony", 10)
+	resp, err := fe.Execute(Query{Raw: "honey colony", Mode: PlanAll, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSearchConjunctiveSemantics(t *testing.T) {
 	c.RunUntilIdle(6)
 
 	fe := NewFrontend(c, c.Peers[3])
-	resp, err := fe.Search("red apples", 10)
+	resp, err := fe.Execute(Query{Raw: "red apples", Mode: PlanAll, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestSearchConjunctiveSemantics(t *testing.T) {
 		t.Fatalf("AND semantics broken: %+v", resp.Results)
 	}
 	// A term with no postings yields no results, no error.
-	resp, err = fe.Search("nonexistentterm apples", 10)
+	resp, err = fe.Execute(Query{Raw: "nonexistentterm apples", Mode: PlanAll, Limit: 10})
 	if err != nil || len(resp.Results) != 0 {
 		t.Fatalf("missing term: results=%v err=%v", resp.Results, err)
 	}
@@ -113,7 +113,7 @@ func TestRepublishFreshness(t *testing.T) {
 	c.RunUntilIdle(5)
 
 	fe := NewFrontend(c, c.Peers[4])
-	resp, _ := fe.Search("ancient", 10)
+	resp, _ := fe.Execute(Query{Raw: "ancient", Mode: PlanAll, Limit: 10})
 	if len(resp.Results) != 1 {
 		t.Fatalf("v1 not searchable: %+v", resp.Results)
 	}
@@ -123,11 +123,11 @@ func TestRepublishFreshness(t *testing.T) {
 	c.Seal()
 	c.RunUntilIdle(5)
 
-	resp, _ = fe.Search("ancient", 10)
+	resp, _ = fe.Execute(Query{Raw: "ancient", Mode: PlanAll, Limit: 10})
 	if len(resp.Results) != 0 {
 		t.Fatalf("stale postings survived republish: %+v", resp.Results)
 	}
-	resp, _ = fe.Search("modern", 10)
+	resp, _ = fe.Execute(Query{Raw: "modern", Mode: PlanAll, Limit: 10})
 	if len(resp.Results) != 1 {
 		t.Fatalf("v2 not searchable: %+v", resp.Results)
 	}
@@ -213,7 +213,7 @@ func TestPageRankInfluencesSearchOrder(t *testing.T) {
 	c.RunUntilIdle(6)
 
 	fe := NewFrontend(c, c.Peers[1])
-	resp, err := fe.Search("beekeeping techniques", 5)
+	resp, err := fe.Execute(Query{Raw: "beekeeping techniques", Mode: PlanAll, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestAdsAppearInSearch(t *testing.T) {
 	c.RunUntilIdle(5)
 
 	fe := NewFrontend(c, c.Peers[2])
-	resp, err := fe.Search("marathon shoes", 10)
+	resp, err := fe.Execute(Query{Raw: "marathon shoes", Mode: PlanAll, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCollusionCorruptsIndexWithMajority(t *testing.T) {
 	}
 	// Search now surfaces the spam doc, not the victim content.
 	fe := NewFrontend(c, c.Peers[1])
-	resp, _ := fe.Search("legitimate content", 10)
+	resp, _ := fe.Execute(Query{Raw: "legitimate content", Mode: PlanAll, Limit: 10})
 	if len(resp.Results) != 0 {
 		t.Fatalf("victim content should be gone from index: %+v", resp.Results)
 	}
@@ -310,7 +310,7 @@ func TestSingleColluderIsDefeatedAndSlashed(t *testing.T) {
 		t.Fatalf("colluder slashes = %d, want 1", info.Slashes)
 	}
 	fe := NewFrontend(c, c.Peers[1])
-	resp, _ := fe.Search("quorum voting", 10)
+	resp, _ := fe.Execute(Query{Raw: "quorum voting", Mode: PlanAll, Limit: 10})
 	if len(resp.Results) != 1 || resp.Results[0].URL != "dweb://safe" {
 		t.Fatalf("honest index should win: %+v", resp.Results)
 	}

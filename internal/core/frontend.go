@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -21,7 +22,7 @@ import (
 // ads." It is a stateless client of the DHT and the chain: it owns a DWeb
 // peer for reads and caches immutable segments by content address.
 //
-// Queries (Search*, Execute) are safe for concurrent use and, with the
+// Queries (Execute, ExecuteCtx) are safe for concurrent use and, with the
 // default per-link netsim streams, same-seed results are byte-identical
 // whether queries run sequentially or raced across goroutines (see
 // docs/serving.md). Both caches are byte-budgeted LRUs so a long-lived
@@ -55,13 +56,6 @@ type Frontend struct {
 	ranksMax  float64
 	ranksGen  uint64
 	ranksInit bool
-
-	// wand selects the top-k executor: block-max WAND early termination
-	// (the default) or exhaustive candidate scoring
-	// (Config.ExhaustiveScoring; the E18 baseline). Results are
-	// byte-identical either way; queries snapshot it at start, so
-	// flipping it mid-flight never races an executing plan.
-	wand atomic.Bool
 
 	// hedge, when set by a FrontendPool, is the buddy frontend this one
 	// duplicates its slowest shard fetch onto (hedged reads); hedges
@@ -103,7 +97,7 @@ type chainFetch struct {
 
 // NewFrontend attaches a frontend to one DWeb peer of the cluster.
 func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
-	f := &Frontend{
+	return &Frontend{
 		cluster:     c,
 		peer:        peer,
 		segCache:    newLRUCache[string, *index.Segment](c.cfg.SegCacheBytes),
@@ -113,17 +107,7 @@ func NewFrontend(c *Cluster, peer *store.Peer) *Frontend {
 		docURL:      make(map[index.DocID]string),
 		statsGen:    -1,
 	}
-	f.wand.Store(!c.cfg.ExhaustiveScoring)
-	return f
 }
-
-// SetUseBlockMax selects the top-k executor: block-max WAND early
-// termination (true) or exhaustive scoring (false). Safe while queries
-// are in flight: each query snapshots the option when it starts.
-func (f *Frontend) SetUseBlockMax(on bool) { f.wand.Store(on) }
-
-// UseBlockMax reports the currently selected top-k executor.
-func (f *Frontend) UseBlockMax() bool { return f.wand.Load() }
 
 // chainEntry caches the merged view of one shard's segment chain, keyed by
 // the exact digest chain it was built from. The entry stays valid until
@@ -140,7 +124,7 @@ type Result struct {
 	CID     string
 	Score   float64
 	Rank    float64 // page rank component
-	Snippet string  // populated when SearchOptions.Snippets is set
+	Snippet string  // populated when Query.Snippets is set
 }
 
 // Ad is one displayed advertisement.
@@ -155,11 +139,7 @@ type Ad struct {
 // never fully scored (block-max early termination). Exhaustive scoring
 // reports zero skips; the scaling benchmark and E18 read these to show
 // sublinear growth.
-type ScoreStats struct {
-	PostingsScanned int64
-	BlocksSkipped   int64
-	DocsSkipped     int64
-}
+type ScoreStats = index.WANDStats
 
 // SearchResponse is the composed answer for one query.
 type SearchResponse struct {
@@ -191,12 +171,6 @@ type Degraded struct {
 	Cause        string
 }
 
-// Search runs the full frontend pipeline for a conjunctive (AND) query.
-// SearchWith (query.go) exposes OR/phrase modes and snippets.
-func (f *Frontend) Search(query string, k int) (SearchResponse, error) {
-	return f.SearchWith(query, SearchOptions{Mode: ModeAND, K: k})
-}
-
 // scoreAndCompose ranks the candidate documents with BM25 × PageRank,
 // keeps the requested page (offset/limit over the deterministic total
 // order), and fills in results and ads — steps 3–5 of the frontend
@@ -205,22 +179,23 @@ func (f *Frontend) Search(query string, k int) (SearchResponse, error) {
 // itself is pure CPU): a spent lifecycle returns ErrDeadlineExceeded
 // without composing anything.
 //
-// Three executors share this stage, all producing byte-identical
-// rankings (docs/serving.md "Early termination"):
+// Three executors share this stage and one doc-length probe, all
+// producing byte-identical rankings (docs/serving.md "Early
+// termination"):
 //
 //   - direct (non-nil direct cursor): a bare-term query walks its one
 //     posting list block by block, skipping blocks whose block-max bound
 //     cannot beat the current top-(offset+limit) threshold;
-//   - WAND (useWAND, consistent doc lengths): candidates stream against
-//     per-term block cursors with frontier bounds and skip-pointer
-//     galloping;
-//   - exhaustive (fallback and ablation): every candidate is scored via
-//     one forward merge cursor per term — O(postings), not the
-//     O(docs·terms·log n) of the per-(doc,term) binary searches this
-//     replaced.
+//   - WAND (the default when the loaded shards agree on every
+//     candidate's length): candidates stream against per-term block
+//     cursors with frontier bounds and skip-pointer galloping;
+//   - exhaustive (Config.ExhaustiveScoring, and the fallback when shards
+//     disagree): every candidate is scored via one forward merge cursor
+//     per term — O(postings), not the O(docs·terms·log n) of the
+//     per-(doc,term) binary searches this replaced.
 func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []string,
 	merged map[string]index.PostingList, segsByShard map[int]*index.Segment,
-	docs []index.DocID, limit, offset int, useWAND bool, direct *index.TermCursor) error {
+	docs []index.DocID, limit, offset int, direct *index.TermCursor) error {
 
 	if err := bud.check(resp.Cost.Latency); err != nil {
 		return err
@@ -242,111 +217,71 @@ func (f *Frontend) scoreAndCompose(bud reqBudget, resp *SearchResponse, terms []
 	rankOf := func(d index.DocID) float64 { return ranks[urls[d]] }
 	avgLen := uint32(avgDocLen(stats))
 
-	// Shards are probed in ascending id order so collisions resolve the
-	// same way on every run.
+	// A doc's length comes from the first loaded shard, in ascending id
+	// order, that covers it, so collisions resolve the same way on every
+	// run; a doc no shard covers scores at the average length.
 	shardIDs := make([]int, 0, len(segsByShard))
 	for sid := range segsByShard {
 		shardIDs = append(shardIDs, sid)
 	}
 	sort.Ints(shardIDs)
+	segs := make([]*index.Segment, len(shardIDs))
+	for i, sid := range shardIDs {
+		segs[i] = segsByShard[sid]
+	}
+	docLen := func(d index.DocID) uint32 {
+		for _, seg := range segs {
+			if l, ok := seg.DocLens[d]; ok {
+				return l
+			}
+		}
+		return avgLen
+	}
 
 	k := offset + limit
+	if k < offset {
+		k = math.MaxInt // saturate: a deep page must not wrap negative
+	}
 	var top []index.ScoredDoc
-	var wstats index.WANDStats
 	switch {
 	case direct != nil:
 		// Bare-term fast path: the single shard's postings drive scoring
-		// directly, no candidate list materialized. Doc lengths probe the
-		// loaded shard segments per doc — with one shard (always, for one
-		// term) that is exactly the lens-map value the exhaustive path
-		// would have built from the same candidates.
-		docLen := func(d index.DocID) uint32 {
-			for _, sid := range shardIDs {
-				if l, ok := segsByShard[sid].DocLens[d]; ok {
-					return l
-				}
+		// directly, no candidate list materialized.
+		top = index.WANDTopKDirect(direct, scorer, docLen, rankOf, maxRank, k, &resp.ScoreStats)
+	case !f.cluster.cfg.ExhaustiveScoring && docLensAgree(segs, docs):
+		cursors := make([]*index.TermCursor, len(terms))
+		for i, t := range terms {
+			if seg, ok := segsByShard[index.ShardOf(t, f.cluster.cfg.NumShards)]; ok {
+				cursors[i] = seg.Cursor(t)
 			}
-			return avgLen
 		}
-		top = index.WANDTopKDirect(direct, scorer, docLen, rankOf, maxRank, k, &wstats)
+		top = index.WANDTopK(docs, cursors, scorer, docLen, rankOf, maxRank, k, &resp.ScoreStats)
 	default:
-		// One DocID→length lookup, built up front: each candidate probes
-		// every loaded shard at most once, instead of rescanning the
-		// shards for every (doc, term) pair in the scoring loop below.
-		// The same pass detects cross-shard disagreement on a doc's
-		// length (possible transiently under churn when shard chains
-		// re-index a page at different times): block-max bounds are
-		// computed from each segment's own lengths and are only safe
-		// against scores that use those lengths, so any disagreement
-		// falls back to exhaustive scoring for this query.
-		lens := make(map[index.DocID]uint32, len(docs))
-		lensConsistent := true
+		// Exhaustive scoring: every candidate, every term — but via
+		// forward merge cursors (candidates and postings are both
+		// ascending), not a binary search per (doc, term) pair.
+		idx := make([]int, len(terms))
+		pls := make([]index.PostingList, len(terms))
+		for i, t := range terms {
+			pls[i] = merged[t]
+		}
+		scored := make([]index.ScoredDoc, 0, len(docs))
 		for _, d := range docs {
-			have := false
-			var first uint32
-			for _, sid := range shardIDs {
-				l, ok := segsByShard[sid].DocLens[d]
-				if !ok {
-					continue
+			var text float64
+			for ti, pl := range pls {
+				j := idx[ti]
+				for j < len(pl) && pl[j].Doc < d {
+					j++
 				}
-				if !have {
-					first, have = l, true
-					lens[d] = l
-					if len(shardIDs) == 1 {
-						break
-					}
-				} else if l != first {
-					lensConsistent = false
+				idx[ti] = j
+				resp.ScoreStats.PostingsScanned++
+				if j < len(pl) && pl[j].Doc == d {
+					text += scorer.TermScore(pl[j].TF, docLen(d), len(pl))
 				}
 			}
+			scored = append(scored, index.ScoredDoc{Doc: d, Score: scorer.Combine(text, rankOf(d), maxRank)})
 		}
-		docLen := func(d index.DocID) uint32 {
-			if l, ok := lens[d]; ok {
-				return l
-			}
-			return avgLen
-		}
-
-		if useWAND && lensConsistent {
-			cursors := make([]*index.TermCursor, len(terms))
-			for i, t := range terms {
-				if seg, ok := segsByShard[index.ShardOf(t, f.cluster.cfg.NumShards)]; ok {
-					cursors[i] = seg.Cursor(t)
-				}
-			}
-			top = index.WANDTopK(docs, cursors, scorer, docLen, rankOf, maxRank, k, &wstats)
-		} else {
-			// Exhaustive scoring: every candidate, every term — but via
-			// forward merge cursors (candidates and postings are both
-			// ascending), not a binary search per (doc, term) pair.
-			idx := make([]int, len(terms))
-			pls := make([]index.PostingList, len(terms))
-			for i, t := range terms {
-				pls[i] = merged[t]
-			}
-			scored := make([]index.ScoredDoc, 0, len(docs))
-			for _, d := range docs {
-				var text float64
-				for ti, pl := range pls {
-					j := idx[ti]
-					for j < len(pl) && pl[j].Doc < d {
-						j++
-					}
-					idx[ti] = j
-					wstats.PostingsScanned++
-					if j < len(pl) && pl[j].Doc == d {
-						text += scorer.TermScore(pl[j].TF, docLen(d), len(pl))
-					}
-				}
-				scored = append(scored, index.ScoredDoc{Doc: d, Score: scorer.Combine(text, rankOf(d), maxRank)})
-			}
-			top = index.TopK(scored, k)
-		}
-	}
-	resp.ScoreStats = ScoreStats{
-		PostingsScanned: wstats.PostingsScanned,
-		BlocksSkipped:   wstats.BlocksSkipped,
-		DocsSkipped:     wstats.DocsSkipped,
+		top = index.TopK(scored, k)
 	}
 	if offset >= len(top) {
 		top = nil
@@ -740,30 +675,21 @@ func (f *Frontend) CacheStatsSnapshot() CacheStats {
 	}
 }
 
-// refreshDocURLs rebuilds the DocID→URL map when new pages registered.
-func (f *Frontend) refreshDocURLs() {
+// docURLView returns the DocID→URL map, rebuilt when new pages
+// registered. The map is replaced wholesale on refresh, never mutated in
+// place, so readers may keep the returned reference without holding
+// f.mu.
+func (f *Frontend) docURLView() map[index.DocID]string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := f.cluster.QB.PageCount()
-	if n == f.docURLGen {
-		return
+	if n := f.cluster.QB.PageCount(); n != f.docURLGen {
+		f.docURL = make(map[index.DocID]string, n)
+		for _, url := range f.cluster.QB.Pages() {
+			f.docURL[index.DocIDOf(url)] = url
+		}
+		f.docURLGen = n
 	}
-	f.docURL = make(map[index.DocID]string, n)
-	for _, url := range f.cluster.QB.Pages() {
-		f.docURL[index.DocIDOf(url)] = url
-	}
-	f.docURLGen = n
-}
-
-// docURLView refreshes and returns the current DocID→URL map. The map
-// is replaced wholesale on refresh, never mutated in place, so readers
-// may keep the returned reference without holding f.mu.
-func (f *Frontend) docURLView() map[index.DocID]string {
-	f.refreshDocURLs()
-	f.mu.Lock()
-	m := f.docURL
-	f.mu.Unlock()
-	return m
+	return f.docURL
 }
 
 // FetchResult downloads and verifies the content of a search result.
@@ -773,6 +699,33 @@ func (f *Frontend) FetchResult(r Result) ([]byte, netsim.Cost, error) {
 		return nil, netsim.Cost{}, err
 	}
 	return f.peer.Fetch(cid)
+}
+
+// docLensAgree reports whether the loaded shards agree on every
+// candidate's length. Shard chains can re-index a page at different
+// times under churn, so they may briefly disagree; block-max bounds are
+// computed from each segment's own lengths and are only safe against
+// scores that use those lengths, so any disagreement sends the query to
+// exhaustive scoring.
+func docLensAgree(segs []*index.Segment, docs []index.DocID) bool {
+	if len(segs) < 2 {
+		return true
+	}
+	for _, d := range docs {
+		have := false
+		var first uint32
+		for _, seg := range segs {
+			l, ok := seg.DocLens[d]
+			switch {
+			case !ok:
+			case !have:
+				first, have = l, true
+			case l != first:
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func avgDocLen(st IndexStats) float64 {

@@ -25,12 +25,12 @@ const (
 	// PlanParsed runs the full query language: AND/OR/NOT operators,
 	// quoted phrases, site: prefix filters, parentheses.
 	PlanParsed PlanMode = iota
-	// PlanAll ANDs every analyzed term (flat legacy Search).
+	// PlanAll ANDs every analyzed term; operators and quotes are plain
+	// text.
 	PlanAll
-	// PlanAny ORs every analyzed term (flat legacy SearchAny).
+	// PlanAny ORs every analyzed term.
 	PlanAny
-	// PlanPhrase matches every analyzed term as one adjacent phrase
-	// (flat legacy SearchPhrase).
+	// PlanPhrase matches every analyzed term as one adjacent phrase.
 	PlanPhrase
 )
 
@@ -173,10 +173,7 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	if limit <= 0 {
 		limit = 10
 	}
-	offset := q.Offset
-	if offset < 0 {
-		offset = 0
-	}
+	offset := max(q.Offset, 0)
 	bud := reqBudget{ctx: ctx, deadline: q.Deadline}
 
 	var resp SearchResponse
@@ -200,34 +197,41 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 		}
 	}
 
-	// partialTrace attaches the trace of the work done so far and strips
-	// any composed payload: the lifecycle ended before the response could
-	// have reached the client.
-	partialTrace := func(plan *ExplainNode, candidates int, loadCost, snippetCost netsim.Cost, err error) (SearchResponse, error) {
-		resp.Results, resp.Ads, resp.Total = nil, nil, 0
-		resp.Explain = &Explain{
+	// trace records the work done so far: the shard wave, the plan and
+	// its candidates, the results composed, and every cost paid.
+	trace := func(plan *ExplainNode, loadCost, snippetCost netsim.Cost) *Explain {
+		return &Explain{
 			Query:       q.Raw,
 			Mode:        q.Mode.String(),
 			Terms:       allTerms,
 			Shards:      shards,
 			Plan:        plan,
-			Candidates:  candidates,
+			Candidates:  resp.Total,
+			Returned:    len(resp.Results),
 			LoadCost:    loadCost,
 			SnippetCost: snippetCost,
 			TotalCost:   resp.Cost,
-			Partial:     true,
 		}
+	}
+	// partialTrace attaches the trace of the work done so far and strips
+	// any composed payload: the lifecycle ended before the response could
+	// have reached the client.
+	partialTrace := func(plan *ExplainNode, loadCost, snippetCost netsim.Cost, err error) (SearchResponse, error) {
+		resp.Results, resp.Ads = nil, nil
+		resp.Explain = trace(plan, loadCost, snippetCost)
+		resp.Explain.Partial = true
+		resp.Total = 0
 		return resp, err
 	}
 
 	if err := bud.check(0); err != nil {
-		return partialTrace(nil, 0, netsim.Cost{}, netsim.Cost{}, err)
+		return partialTrace(nil, netsim.Cost{}, netsim.Cost{}, err)
 	}
 	segsByShard, loadCost, err := f.loadShardsCtx(bud, 0, shards)
 	resp.Cost = resp.Cost.Seq(loadCost)
 	if err != nil {
 		if lifecycleErr(err) {
-			return partialTrace(nil, 0, loadCost, netsim.Cost{}, asLifecycle(err))
+			return partialTrace(nil, loadCost, netsim.Cost{}, asLifecycle(err))
 		}
 		if f.cluster.cfg.DegradedReads && len(segsByShard) > 0 {
 			// Graceful degradation: some shards loaded, so compose a
@@ -249,31 +253,21 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 			// was in flight, so Explain (when requested) records the wave and
 			// its full cost even though no results can be composed.
 			if q.Explain {
-				resp.Explain = &Explain{
-					Query:     q.Raw,
-					Mode:      q.Mode.String(),
-					Terms:     allTerms,
-					Shards:    shards,
-					LoadCost:  loadCost,
-					TotalCost: resp.Cost,
-				}
+				resp.Explain = trace(nil, loadCost, netsim.Cost{})
 			}
 			return resp, fmt.Errorf("%w: %w", ErrShardUnavailable, err)
 		}
 	}
 	// The wave completed; a deadline it overran still kills the query.
 	if err := bud.check(resp.Cost.Latency); err != nil {
-		return partialTrace(nil, 0, loadCost, netsim.Cost{}, err)
+		return partialTrace(nil, loadCost, netsim.Cost{}, err)
 	}
-	// The executor is snapshotted once per query: a concurrent
-	// SetUseBlockMax call can never race a plan mid-execution.
-	useWAND := f.UseBlockMax()
 
 	var merged map[string]index.PostingList
 	var docs []index.DocID
 	var plan *ExplainNode
 	var direct *index.TermCursor
-	if useWAND && root.Kind == query.KindTerm {
+	if !f.cluster.cfg.ExhaustiveScoring && root.Kind == query.KindTerm {
 		// Document-at-a-time fast path: a bare term needs no merged
 		// posting map and no boolean evaluation. The cursor drives
 		// scoring block by block, and Total comes straight from the
@@ -304,35 +298,24 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 	}
 
 	if resp.Total > 0 {
-		if err := f.scoreAndCompose(bud, &resp, posTerms, merged, segsByShard, docs, limit, offset, useWAND, direct); err != nil {
-			return partialTrace(plan, resp.Total, loadCost, netsim.Cost{}, err)
+		if err := f.scoreAndCompose(bud, &resp, posTerms, merged, segsByShard, docs, limit, offset, direct); err != nil {
+			return partialTrace(plan, loadCost, netsim.Cost{}, err)
 		}
 	}
 	var snippetCost netsim.Cost
 	if q.Snippets && len(resp.Results) > 0 {
 		if snippetCost, err = f.attachSnippets(bud, &resp, posTerms); err != nil {
-			return partialTrace(plan, resp.Total, loadCost, snippetCost, err)
+			return partialTrace(plan, loadCost, snippetCost, err)
 		}
 	}
 	// The response must arrive within the deadline: final checkpoint
 	// against the full simulated cost.
 	if err := bud.check(resp.Cost.Latency); err != nil {
-		return partialTrace(plan, resp.Total, loadCost, snippetCost, err)
+		return partialTrace(plan, loadCost, snippetCost, err)
 	}
 	if q.Explain {
-		resp.Explain = &Explain{
-			Query:        q.Raw,
-			Mode:         q.Mode.String(),
-			Terms:        allTerms,
-			Shards:       shards,
-			Plan:         plan,
-			Candidates:   resp.Total,
-			Returned:     len(resp.Results),
-			LoadCost:     loadCost,
-			SnippetCost:  snippetCost,
-			TotalCost:    resp.Cost,
-			Completeness: 1.0,
-		}
+		resp.Explain = trace(plan, loadCost, snippetCost)
+		resp.Explain.Completeness = 1.0
 		if resp.Degraded != nil {
 			resp.Explain.DegradedShards = resp.Degraded.FailedShards
 			resp.Explain.Completeness = resp.Degraded.Completeness
@@ -343,8 +326,8 @@ func (f *Frontend) ExecuteCtx(ctx context.Context, q Query) (SearchResponse, err
 
 // compileAST turns the raw query string into the boolean AST, either
 // through the parser (PlanParsed) or as one flat operator over the
-// analyzed terms (the legacy Search/SearchAny/SearchPhrase semantics,
-// which treat operators and quotes as plain text).
+// analyzed terms (PlanAll/PlanAny/PlanPhrase, which treat operators and
+// quotes as plain text).
 func compileAST(q Query) (*query.Node, error) {
 	if q.Mode == PlanParsed {
 		return query.Parse(q.Raw)

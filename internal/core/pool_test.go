@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,5 +102,40 @@ func TestPoolDefaultDeadlineApplies(t *testing.T) {
 	}
 	if misses := pool.Stats().DeadlineMisses; misses != 1 {
 		t.Fatalf("deadline misses = %d, want 1", misses)
+	}
+}
+
+// TestPoolNoGoroutineLeak: query waves leak no goroutines. A hedged
+// pool of four runs complete, cancelled-context and deadline-failed
+// queries over multi-shard waves, whose legs and hedges run on their own
+// goroutines; afterwards the goroutine count must settle back to where
+// it started. On failure the test prints every goroutine's stack.
+func TestPoolNoGoroutineLeak(t *testing.T) {
+	c, _ := queryCluster(t)
+	pool := NewFrontendPool(c, 4, true, 0)
+	q := Query{Raw: "red apples orchard streets", Mode: PlanAny, Limit: 5}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	tight := q
+	tight.Deadline = time.Millisecond
+
+	start := runtime.NumGoroutine()
+	for i := 0; i < 8; i++ {
+		if _, err := pool.Execute(q); err != nil {
+			t.Fatalf("complete query: %v", err)
+		}
+		if _, err := pool.ExecuteCtx(cancelled, q); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("cancelled query: err = %v, want ErrDeadlineExceeded", err)
+		}
+		if _, err := pool.Execute(tight); !errors.Is(err, ErrDeadlineExceeded) {
+			t.Fatalf("deadline-failed query: err = %v, want ErrDeadlineExceeded", err)
+		}
+	}
+	for wait := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > start; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(wait) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines at start, %d after the queries settled:\n%s",
+				start, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -195,7 +195,7 @@ func TestPublishBatchSingleTask(t *testing.T) {
 	}
 
 	fe := NewFrontend(c, c.Peers[3])
-	resp, err := fe.Search("falcon", 10)
+	resp, err := fe.Execute(Query{Raw: "falcon", Mode: PlanAll, Limit: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +295,10 @@ func TestBatchRepublishCountsStatsOncePerVersion(t *testing.T) {
 	}
 	// Freshness holds across batch republish too.
 	fe := NewFrontend(c, c.Peers[2])
-	if resp, _ := fe.Search("alpha words", 10); len(resp.Results) != 0 {
+	if resp, _ := fe.Execute(Query{Raw: "alpha words", Mode: PlanAll, Limit: 10}); len(resp.Results) != 0 {
 		t.Fatalf("stale postings survived batch republish: %+v", resp.Results)
 	}
-	if resp, _ := fe.Search("alpha rewritten", 10); len(resp.Results) != 1 {
+	if resp, _ := fe.Execute(Query{Raw: "alpha rewritten", Mode: PlanAll, Limit: 10}); len(resp.Results) != 1 {
 		t.Fatalf("new version not searchable: %+v", resp.Results)
 	}
 }

@@ -78,7 +78,7 @@ func TestShardCompactionBoundsSegmentChains(t *testing.T) {
 	}
 	// And the index still answers.
 	fe := NewFrontend(c, c.Peers[2])
-	resp, err := fe.Search("compaction workload", 30)
+	resp, err := fe.Execute(Query{Raw: "compaction workload", Mode: PlanAll, Limit: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func driveWritePath(t *testing.T, seed uint64, rounds int, monolithic bool, quer
 	run.stats, _ = readStats(c.Peers[1].DHT())
 	fe := NewFrontend(c, c.Peers[2])
 	for _, q := range queries {
-		resp, err := fe.Search(q, doc)
+		resp, err := fe.Execute(Query{Raw: q, Mode: PlanAll, Limit: doc})
 		if err != nil {
 			t.Fatalf("query %q under monolithic=%v: %v", q, monolithic, err)
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -26,16 +27,25 @@ type e18Scale struct {
 	identical bool // WAND result lists matched exhaustive ones exactly
 }
 
-// e18Run indexes an ndocs corpus as one batch (one v3 segment per
-// shard) and replays the same top-10 query workload through two
-// frontends on the same cluster — one on the block-max path, one forced
-// exhaustive — returning per-query averages for both and whether every
-// result list was identical.
-func e18Run(seed uint64, ndocs int) (wand, exhaustive e18Scale) {
+// add accumulates one query's scoring work and simulated latency.
+func (s *e18Scale) add(r core.SearchResponse) {
+	s.scanned += float64(r.ScoreStats.PostingsScanned)
+	s.skipped += float64(r.ScoreStats.BlocksSkipped)
+	s.docsSkip += float64(r.ScoreStats.DocsSkipped)
+	s.simMs += float64(r.Cost.Latency) / 1e6
+}
+
+// e18Replay indexes an ndocs corpus as one batch (one v3 segment per
+// shard) and replays the top-10 query workload through two frontends,
+// on peers 0 and 1, alternating per query. It returns each frontend's
+// responses in query order. With exhaustive set, the cluster runs the
+// Config.ExhaustiveScoring oracle instead of block-max WAND.
+func e18Replay(seed uint64, ndocs int, exhaustive bool) (peer0, peer1 []core.SearchResponse) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.NumPeers = 12
 	cfg.NumBees = 3
+	cfg.ExhaustiveScoring = exhaustive
 	c := core.NewCluster(cfg)
 	owner := c.NewAccount("e18-owner", 1<<40)
 	c.Seal()
@@ -57,42 +67,40 @@ func e18Run(seed uint64, ndocs int) (wand, exhaustive e18Scale) {
 	}
 	c.RunUntilIdle(50)
 
-	feWAND := core.NewFrontend(c, c.Peers[0])
-	feEx := core.NewFrontend(c, c.Peers[1])
-	feEx.SetUseBlockMax(false)
-
-	queries := corp.Queries(seed, 16, 1)
-	identical := true
-	for _, q := range queries {
-		cq := core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10}
-		wr, err := feWAND.Execute(cq)
-		if err != nil {
-			panic(fmt.Sprintf("E18 wand query %q: %v", q.Text, err))
-		}
-		er, err := feEx.Execute(cq)
-		if err != nil {
-			panic(fmt.Sprintf("E18 exhaustive query %q: %v", q.Text, err))
-		}
-		if wr.Total != er.Total || len(wr.Results) != len(er.Results) {
-			identical = false
-		} else {
-			for i := range er.Results {
-				if wr.Results[i] != er.Results[i] {
-					identical = false
-					break
-				}
+	fes := []*core.Frontend{core.NewFrontend(c, c.Peers[0]), core.NewFrontend(c, c.Peers[1])}
+	resps := make([][]core.SearchResponse, len(fes))
+	for _, q := range corp.Queries(seed, 16, 1) {
+		for i, fe := range fes {
+			r, err := fe.Execute(core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10})
+			if err != nil {
+				panic(fmt.Sprintf("E18 query %q (exhaustive=%v): %v", q.Text, exhaustive, err))
 			}
+			resps[i] = append(resps[i], r)
 		}
-		wand.scanned += float64(wr.ScoreStats.PostingsScanned)
-		wand.skipped += float64(wr.ScoreStats.BlocksSkipped)
-		wand.docsSkip += float64(wr.ScoreStats.DocsSkipped)
-		wand.simMs += float64(wr.Cost.Latency) / 1e6
-		exhaustive.scanned += float64(er.ScoreStats.PostingsScanned)
-		exhaustive.skipped += float64(er.ScoreStats.BlocksSkipped)
-		exhaustive.docsSkip += float64(er.ScoreStats.DocsSkipped)
-		exhaustive.simMs += float64(er.Cost.Latency) / 1e6
 	}
-	n := float64(len(queries))
+	return resps[0], resps[1]
+}
+
+// e18Run replays the same top-10 query workload on two same-seed
+// clusters, one on the block-max path and one forced exhaustive, and
+// returns per-query averages for both and whether every result list was
+// identical. The WAND row is the default cluster's peer-0 frontend, the
+// exhaustive row the exhaustive cluster's peer-1 frontend: the scoring
+// mode never changes RPC traffic, so each frontend sees the network
+// state it would have seen had both run side by side in one cluster.
+func e18Run(seed uint64, ndocs int) (wand, exhaustive e18Scale) {
+	wrs, _ := e18Replay(seed, ndocs, false)
+	_, ers := e18Replay(seed, ndocs, true)
+	identical := true
+	for i, wr := range wrs {
+		er := ers[i]
+		if wr.Total != er.Total || !slices.Equal(wr.Results, er.Results) {
+			identical = false
+		}
+		wand.add(wr)
+		exhaustive.add(er)
+	}
+	n := float64(len(wrs))
 	for _, s := range []*e18Scale{&wand, &exhaustive} {
 		s.scanned /= n
 		s.skipped /= n

@@ -76,7 +76,7 @@ func runE1(seed uint64) []*metrics.Table {
 	var msgs metrics.Histogram
 	hits, adImpressions := 0, 0
 	for _, q := range queries {
-		resp, err := fe.Search(q.Text, 10)
+		resp, err := fe.Execute(core.Query{Raw: q.Text, Mode: core.PlanAll, Limit: 10})
 		if err != nil {
 			continue
 		}

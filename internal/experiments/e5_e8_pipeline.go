@@ -71,7 +71,7 @@ func runE5(seed uint64) []*metrics.Table {
 			}
 			c.Seal()
 			for r := 0; r < 10; r++ {
-				resp, err := fe.Search(marker, 5)
+				resp, err := fe.Execute(core.Query{Raw: marker, Mode: core.PlanAll, Limit: 5})
 				if err == nil && len(resp.Results) > 0 {
 					break
 				}

@@ -39,7 +39,10 @@ type topkAcc struct {
 	h []ScoredDoc
 }
 
-func newTopkAcc(k int) *topkAcc { return &topkAcc{k: k, h: make([]ScoredDoc, 0, k)} }
+// newTopkAcc reserves room for min(k, n) docs, where n bounds how many
+// docs can ever be pushed: a deep page asks for a huge k over a short
+// posting list, and the heap must not be sized by the page.
+func newTopkAcc(k, n int) *topkAcc { return &topkAcc{k: k, h: make([]ScoredDoc, 0, min(k, n))} }
 
 func (a *topkAcc) full() bool      { return len(a.h) >= a.k }
 func (a *topkAcc) root() ScoredDoc { return a.h[0] }
@@ -79,7 +82,7 @@ func WANDTopK(cands []DocID, cursors []*TermCursor, sc *Scorer, docLen func(DocI
 		return nil
 	}
 	rb := rankBlendBound(sc, maxRank)
-	acc := newTopkAcc(k)
+	acc := newTopkAcc(k, len(cands))
 	i := 0
 	for i < len(cands) {
 		d := cands[i]
@@ -154,7 +157,7 @@ func WANDTopKDirect(cur *TermCursor, sc *Scorer, docLen func(DocID) uint32, rank
 		return nil
 	}
 	rb := rankBlendBound(sc, maxRank)
-	acc := newTopkAcc(k)
+	acc := newTopkAcc(k, cur.DF())
 	type blockBound struct {
 		bi    int
 		bound float64
